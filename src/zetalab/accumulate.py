@@ -1,7 +1,7 @@
 """Deterministic reduction and worker-pool helpers.
 
 All multi-chunk computations in the package combine their partial results
-with :func:`tree_sum` (or ``math.fsum``) so that the final value does not
+with :func:`exact_sum` (``math.fsum``) so that the final value does not
 depend on how many workers produced the partials or in which order they
 finished; the submission order is always the combination order.
 """
@@ -14,19 +14,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def tree_sum(values: Sequence[float]) -> float:
-    """Sum floats by pairwise (tree) reduction in a fixed order."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 def exact_sum(values: Iterable[float]) -> float:

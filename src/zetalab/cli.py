@@ -87,17 +87,22 @@ def cmd_ftable(args) -> int:
     return 0
 
 
-def _moment_rows(ks, a_list, t, methods, engine, table, grid):
+def _quadratures(ks, a_list, t, table):
+    """One quadrature sweep per distinct a, with the FAST profile."""
+    engine = ZetaEngine(FAST)
+    return {a: mo.i_k_quadrature_batch(ks, a, t, engine, table)
+            for a in dict.fromkeys(a_list)}
+
+
+def _moment_rows(ks, a_list, t, methods, quads, table, grid):
     rows = []
     for a in a_list:
-        quads = (mo.i_k_quadrature_batch(ks, a, t, engine, table)
-                 if "quad" in methods else None)
         for i, k in enumerate(ks):
             row = [k, a, t]
             q = z = f = None
             if quads is not None:
-                q = quads[i].value
-                row += [q, quads[i].err_estimate]
+                q = quads[a][i].value
+                row += [q, quads[a][i].err_estimate]
             if "zeros" in methods:
                 est = mo.i_k_from_zeros(k, a, t, table)
                 z = est.value
@@ -135,29 +140,37 @@ def _moment_header(methods):
 def cmd_moments(args) -> int:
     methods = ("quad", "zeros", "fromF") if args.method == "all" else (args.method,)
     table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
-    engine = ZetaEngine(FAST)
+    quads = (_quadratures(args.k, args.a, args.tmax, table)
+             if "quad" in methods else None)
     grid = None
     if "fromF" in methods:
         grid = pc.f_grid(table, args.tmax, args.alpha_max, args.step, threads=args.threads)
-    rows = _moment_rows(args.k, args.a, args.tmax, methods, engine, table, grid)
+    rows = _moment_rows(args.k, args.a, args.tmax, methods, quads, table, grid)
     _emit(rows, _moment_header(methods), args.out)
     return 0
 
 
-def cmd_discrete(args) -> int:
-    table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
-    engine_fast = ZetaEngine(FAST)
+DISCRETE_HEADER = ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"]
+
+
+def _discrete_rows(ks, a_list, t, quads, table):
+    """I_k(a,T) from the given sweeps against 2 pi D_k(2a,T) (STRICT engine)."""
     engine = ZetaEngine(STRICT)
     rows = []
-    for a in args.a:
-        quads = mo.i_k_quadrature_batch(args.k, a, args.tmax, engine_fast, table)
-        for i, k in enumerate(args.k):
-            d_est = mo.d_k(k, 2.0 * a, args.tmax, table, engine)
+    for a in a_list:
+        for i, k in enumerate(ks):
+            d_est = mo.d_k(k, 2.0 * a, t, table, engine)
             two_pi_d = 2.0 * math.pi * d_est.value
-            rows.append([k, a, args.tmax, two_pi_d, quads[i].value,
-                         quads[i].value / two_pi_d])
-    _emit(rows, ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"],
-          args.out)
+            q = quads[a][i].value
+            rows.append([k, a, t, two_pi_d, q, q / two_pi_d])
+    return rows
+
+
+def cmd_discrete(args) -> int:
+    table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
+    quads = _quadratures(args.k, args.a, args.tmax, table)
+    rows = _discrete_rows(args.k, args.a, args.tmax, quads, table)
+    _emit(rows, DISCRETE_HEADER, args.out)
     return 0
 
 
@@ -192,27 +205,18 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
-    engine_fast = ZetaEngine(FAST)
-    engine = ZetaEngine(STRICT)
     grid = pc.f_grid(table, args.tmax, args.alpha_max, args.step, threads=args.threads)
 
     rows = [[float(a), float(v)] for a, v in zip(grid.alphas, grid.values)]
     _emit(rows, ["alpha", "f_value"], str(out_dir / "ftable.csv"))
 
     methods = ("quad", "zeros", "fromF")
-    rows = _moment_rows(args.k, args.a, args.tmax, methods, engine_fast, table, grid)
+    quads = _quadratures(args.k, args.a, args.tmax, table)
+    rows = _moment_rows(args.k, args.a, args.tmax, methods, quads, table, grid)
     _emit(rows, _moment_header(methods), str(out_dir / "moments.csv"))
 
-    rows = []
-    for a in args.a:
-        quads = mo.i_k_quadrature_batch(args.k, a, args.tmax, engine_fast, table)
-        for i, k in enumerate(args.k):
-            d_est = mo.d_k(k, 2.0 * a, args.tmax, table, engine)
-            two_pi_d = 2.0 * math.pi * d_est.value
-            rows.append([k, a, args.tmax, two_pi_d, quads[i].value,
-                         quads[i].value / two_pi_d])
-    _emit(rows, ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"],
-          str(out_dir / "discrete.csv"))
+    rows = _discrete_rows(args.k, args.a, args.tmax, quads, table)
+    _emit(rows, DISCRETE_HEADER, str(out_dir / "discrete.csv"))
 
     rows = [[k, a, pred.gr_identity_residual(k, a)]
             for k in args.k for a in IDENTITY_A_GRID]

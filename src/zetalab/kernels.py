@@ -59,16 +59,23 @@ class KernelSpec:
                 raise DomainError(f"deriv_order={self.deriv_order} outside [0, 16]")
 
 
+def _inv_power(b: float, m: int, x):
+    """(b + ix)^(-m) as b^(-m) (1 + ix/b)^(-m).
+
+    Raising b + ix itself would scale its imaginary part by b^(m-1) and
+    underflow into subnormals for tiny x, losing relative precision.
+    """
+    return b ** (-m) * (1.0 + 1j * (np.asarray(x) / b)) ** (-m)
+
+
 def _h_deriv(b: float, n: int, x):
     """(h_b)^(n)(x) = Re{ (-i)^n n! (b + ix)^(-(n+1)) }."""
-    z = (b + 1j * np.asarray(x)) ** (-(n + 1))
-    return np.real((-1j) ** n * math.factorial(n) * z)
+    return np.real((-1j) ** n * math.factorial(n) * _inv_power(b, n + 1, x))
 
 
 def _l_deriv(b: float, n: int, x):
     """(l_b)^(n)(x) = Re{ (-i)^n (n+1)! (b + ix)^(-(n+2)) }."""
-    z = (b + 1j * np.asarray(x)) ** (-(n + 2))
-    return np.real((-1j) ** n * math.factorial(n + 1) * z)
+    return np.real((-1j) ** n * math.factorial(n + 1) * _inv_power(b, n + 2, x))
 
 
 def _f_parity_coeffs(k: int) -> tuple[int, int]:

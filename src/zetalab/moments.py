@@ -3,8 +3,8 @@
 I_k(a,T) is the integral of |(zeta'/zeta)^(k)(1/2 + a/log T + it)|^2 over
 t in [1, T].  It is computed
 
-* by direct composite-Simpson quadrature against the Euler-Maclaurin
-  engine (``i_k_quadrature``) -- the ground truth;
+* by a uniform trapezoid sweep with Gregory end corrections against the
+  Euler-Maclaurin engine (``i_k_quadrature``) -- the ground truth;
 * from the zero-pair sum with the Poisson-kernel derivative
   (``i_k_from_zeros``);
 * from the sampled pair-correlation function (``i_k_from_f``).
@@ -20,7 +20,10 @@ two-sided test rather than a tautology.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaincc
@@ -30,15 +33,18 @@ from .errors import (DivisionError, DomainError, PrecisionError, RangeError)
 from .kernels import KernelSpec, kernel_eval
 from .pair_correlation import FGrid, _pair_data
 from .zero_catalog import ZeroTable
-from .zeta_engine import TWO_PI, ZetaEngine
+from .zeta_engine import FAST, STRICT, TWO_PI, ZetaEngine
 
 KINDS = ("I_quadrature", "I_zero_pairs", "I_from_F", "D_discrete")
 
-#: quadrature refinement factor around each zero
-REFINE = 16
-#: half-width of the refined window around each zero, in units of a/log T
-REFINE_WINDOW = 10.0
-#: samples per evaluation block; multiple of 4 keeps Simpson parities aligned
+_EPS = sys.float_info.epsilon
+
+#: quadrature nodes per feature width a/log T of the integrand
+NODES_PER_WIDTH = 16
+#: order of the Gregory end corrections: exact for polynomials of degree < 6
+GREGORY_ORDER = 6
+#: samples per evaluation block; even, so every block starts on a node of
+#: the halved rule
 _SEGMENT = 1 << 16
 
 
@@ -80,49 +86,51 @@ def _check_envelope(k: int, a: float, t: float) -> None:
 # Direct quadrature
 # --------------------------------------------------------------------------
 
-def _refined_panel_mask(n_panels: int, h: float, zeros: np.ndarray,
-                        halfwidth: float) -> np.ndarray:
-    """Mark base panels of [1, 1+n*h] intersecting any |t-gamma| < halfwidth."""
-    mask = np.zeros(n_panels, dtype=bool)
-    for g in zeros:
-        lo = int(math.floor((g - halfwidth - 1.0) / h))
-        hi = int(math.ceil((g + halfwidth - 1.0) / h))
-        if hi <= 0 or lo >= n_panels:
-            continue
-        mask[max(lo, 0):min(hi, n_panels)] = True
-    return mask
+@lru_cache(maxsize=None)
+def _gregory_end_weights(order: int) -> tuple[float, ...]:
+    """The first `order` weights of the unit-step Gregory rule.
+
+    They are the trapezoid weights plus the Euler-Maclaurin end correction
+    sum_{j<order} g_j Delta^j f_0 from forward differences, where -g_j is
+    the coefficient of x^(j+1) in x / log(1+x) (g = 1/12, -1/24, 19/720,
+    ...).  The far end uses the same weights mirrored.
+    """
+    log_series = [Fraction((-1) ** i, i + 1) for i in range(order + 1)]
+    recip = [Fraction(1)]                    # x / log(1+x), term by term
+    for m in range(1, order + 1):
+        recip.append(-sum(log_series[i] * recip[m - i] for i in range(1, m + 1)))
+    w = [Fraction(1, 2)] + [Fraction(1)] * (order - 1)
+    for j in range(1, order):
+        for i in range(j + 1):
+            w[i] -= recip[j + 1] * math.comb(j, i) * (-1) ** (j - i)
+    return tuple(float(x) for x in w)
 
 
-def _runs_from_mask(mask: np.ndarray) -> list[tuple[int, int, bool]]:
-    """Maximal (start_panel, end_panel, refined) runs."""
-    runs = []
-    start = 0
-    for i in range(1, mask.size + 1):
-        if i == mask.size or mask[i] != mask[start]:
-            runs.append((start, i, bool(mask[start])))
-            start = i
-    return runs
-
-
-def _simpson_weights(n_samples: int) -> np.ndarray:
-    """Composite Simpson weights (without the step/3 factor) for odd n."""
-    w = np.full(n_samples, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+def _gregory_weights(i0: int, i1: int, n: int) -> np.ndarray:
+    """Weights (without the step factor) of nodes i0..i1-1 of an n-interval rule."""
+    corr = np.array(_gregory_end_weights(GREGORY_ORDER)) - 1.0
+    idx = np.arange(i0, i1)
+    w = np.ones(idx.size)
+    left = idx < corr.size
+    w[left] += corr[idx[left]]
+    right = n - idx < corr.size
+    w[right] += corr[n - idx[right]]
     return w
 
 
 def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
                          zeros: ZeroTable) -> list[MomentEstimate]:
-    """All requested orders from one sweep of the integration grid.
+    """All requested orders from one uniform sweep of [1, T].
 
-    The grid has base Simpson step h0 = min(0.01, a/(4 log T)) and is
-    refined 16x on |t - gamma| < 10a/log T (the zero table only places the
-    mesh; no zero-sum values enter).  The sweep is evaluated once at double
-    resolution; the base-resolution rule and its halved companion are
-    assembled from the same samples and their difference is the error
-    estimate.  Splitting the sweep at even sample indices reproduces the
-    composite rule exactly, so blocks can be streamed.
+    The integrand is analytic in a strip of half-width about a/log T, so
+    the trapezoid rule converges geometrically on it; the grid puts
+    NODES_PER_WIDTH nodes on each width a/log T and Gregory weights
+    correct the two ends.  The value is the fine rule.  The error estimate
+    adds three parts: the difference from the rule on the even nodes
+    (twice the step), the difference from the same nodes evaluated with
+    the other public Euler-Maclaurin profile (STRICT for FAST callers,
+    FAST otherwise), and a bound (n+1) eps sum w_i f_i h on the rounding
+    of the weighted sum.  The zero table only guards coverage.
     """
     ks = list(ks)
     for k in ks:
@@ -130,52 +138,47 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
     zeros.require_coverage(t)
     log_t = math.log(t)
     sigma = 0.5 + a / log_t
-    h0 = min(0.01, a / (4.0 * log_t))
-    n_panels = int(math.ceil((t - 1.0) / h0))
-    h = (t - 1.0) / n_panels
-    gam = zeros.ordinates[zeros.ordinates <= t]
-    mask = _refined_panel_mask(n_panels, h, gam, REFINE_WINDOW * a / log_t)
+    # the floor keeps the two end corrections of the halved rule apart
+    half_n = max(math.ceil(NODES_PER_WIDTH * (t - 1.0) * log_t / (2.0 * a)),
+                 2 * GREGORY_ORDER)
+    n = 2 * half_n
+    h = (t - 1.0) / n
+    other = ZetaEngine(STRICT if engine.profile == FAST else FAST,
+                       engine.circle_nodes)
 
     kmax = max(ks)
-    fine_parts = {k: [] for k in ks}
-    coarse_parts = {k: [] for k in ks}
-    for start, end, refined in _runs_from_mask(mask):
-        factor = REFINE if refined else 1
-        delta = h / (4.0 * factor)          # doubled-resolution sampling step
-        total = (end - start) * 4 * factor  # sample intervals in this run
-        t0 = 1.0 + start * h
-        for s0 in range(0, total, _SEGMENT):
-            s1 = min(s0 + _SEGMENT, total)
-            count = s1 - s0 + 1
-            vals, _ = engine.log_deriv_uniform(sigma, t0 + s0 * delta, delta,
-                                               count, kmax)
-            sq = np.abs(vals) ** 2
-            w_fine = _simpson_weights(count)
-            w_coarse = _simpson_weights((count - 1) // 2 + 1)
-            for k in ks:
-                col = sq[:, k]
-                fine_parts[k].append(float(np.dot(w_fine, col)) * delta / 3.0)
-                coarse_parts[k].append(
-                    float(np.dot(w_coarse, col[::2])) * (2.0 * delta) / 3.0)
+    fine, coarse, rival = [], [], []
+    for i0 in range(0, n + 1, _SEGMENT):
+        i1 = min(i0 + _SEGMENT, n + 1)
+        w = _gregory_weights(i0, i1, n)
+        w_half = _gregory_weights(i0 // 2, (i1 + 1) // 2, half_n)
+        t0 = 1.0 + i0 * h
+        vals, _ = engine.log_deriv_uniform(sigma, t0, h, i1 - i0, kmax)
+        rival_vals, _ = other.log_deriv_uniform(sigma, t0, h, i1 - i0, kmax)
+        sq = np.abs(vals[:, ks]) ** 2
+        fine.append(w @ sq)
+        coarse.append(w_half @ sq[::2])
+        rival.append(w @ np.abs(rival_vals[:, ks]) ** 2)
 
     out = []
-    for k in ks:
-        fine = exact_sum(fine_parts[k])
-        coarse = exact_sum(coarse_parts[k])
-        if abs(fine - coarse) > 0.05 * abs(fine):
+    for j, k in enumerate(ks):
+        value = exact_sum(float(p[j]) for p in fine) * h
+        halved = exact_sum(float(p[j]) for p in coarse) * 2.0 * h
+        if abs(value - halved) > 0.05 * abs(value):
             raise PrecisionError(
-                f"step-halving disagreement {abs(fine - coarse):.3e} exceeds "
+                f"step-halving disagreement {abs(value - halved):.3e} exceeds "
                 f"5% of I_{k}({a},{t})")
-        # halving cannot see systematics tied to the refinement-window
-        # layout (both rules share it), so floor the estimate at 1e-9 rel
-        err = max(abs(fine - coarse), 1e-9 * abs(coarse))
-        out.append(MomentEstimate("I_quadrature", k, a, t, coarse, err))
+        profile_gap = abs(value - exact_sum(float(p[j]) for p in rival) * h)
+        # the Gregory weights are positive, so sum w_i f_i h is the value
+        rounding = (n + 1) * _EPS * value
+        err = abs(value - halved) + profile_gap + rounding
+        out.append(MomentEstimate("I_quadrature", k, a, t, value, err))
     return out
 
 
 def i_k_quadrature(k: int, a: float, t: float, engine: ZetaEngine,
                    zeros: ZeroTable) -> MomentEstimate:
-    """Composite-Simpson second moment of (zeta'/zeta)^(k) on [1, T]."""
+    """Second moment of (zeta'/zeta)^(k) on [1, T] by the Gregory-trapezoid sweep."""
     return i_k_quadrature_batch([k], a, t, engine, zeros)[0]
 
 
@@ -211,16 +214,6 @@ def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstima
 # --------------------------------------------------------------------------
 # Pair-correlation integral
 # --------------------------------------------------------------------------
-
-def weight_alpha_max(k: int, a: float, rel: float = 1e-8) -> float:
-    """Alpha where alpha^2k e^(-2a alpha) falls to `rel` of its maximum."""
-    peak = k / a if k > 0 else 0.0
-    peak_val = (peak ** (2 * k) if k else 1.0) * math.exp(-2 * a * peak)
-    alpha = max(peak + 1.0, 4.0)
-    while (alpha ** (2 * k)) * math.exp(-2 * a * alpha) > rel * peak_val:
-        alpha *= 1.25
-    return alpha
-
 
 def i_k_from_f(k: int, a: float, t: float, grid: FGrid) -> MomentEstimate:
     """Second moment as T (log T)^(2k+2) int_0^amax alpha^2k e^(-2a alpha) F.

@@ -22,6 +22,9 @@ from .zero_catalog import ZeroTable
 
 WEIGHT_ID = "w(u)=4/(4+u²)"
 
+#: largest number of alpha samples f_grid will allocate
+MAX_ALPHAS = 10 ** 6
+
 
 def pair_weight(u):
     """Montgomery's weight w(u) = 4 / (4 + u^2)."""
@@ -108,6 +111,9 @@ def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float,
         raise DomainError("alpha_max above 8 is out of scope")
     if alpha_max < 0:
         raise DomainError("alpha_max must be nonnegative")
+    if alpha_max / step > MAX_ALPHAS:
+        raise DomainError(
+            f"alpha_max/step = {alpha_max / step:.3g} exceeds {MAX_ALPHAS} samples")
     zeros.require_coverage(t)
     count = int(round(alpha_max / step)) + 1
     alphas = step * np.arange(count)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,9 +226,24 @@ def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
         f"# precision={table.precision:g}",
     ]
     lines.extend(f"{g:.12f}" for g in table.ordinates)
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it onto `path`.
+
+    A reader of `path` sees either the previous file or the complete new
+    one, never a partial write.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        path.write_text("\n".join(lines) + "\n")
+        with open(tmp, "x") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 

@@ -191,7 +191,7 @@ class ZetaEngine:
     to share between threads.
     """
 
-    #: chunk size for bulk sweeps; multiple of 4 so Simpson parities align
+    #: heights per block of a bulk sweep; bounds the count x N phase matrix
     CHUNK = 4096
 
     def __init__(self, profile: EmProfile = STRICT, circle_nodes: int = 64):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from zetalab import moments as mo
 from zetalab.cli import cmd_dispatch
 
 
@@ -164,6 +165,22 @@ class TestReportCommand:
         assert code == 0
         second = {n: (out_dir / n).read_bytes() for n in names}
         assert first == second  # byte-identical rerun with the same cache
+
+    def test_one_quadrature_sweep_per_a(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        sweep = mo.i_k_quadrature_batch
+
+        def counted(ks, a, t, engine, zeros):
+            calls.append(a)
+            return sweep(ks, a, t, engine, zeros)
+
+        monkeypatch.setattr(mo, "i_k_quadrature_batch", counted)
+        code, _, _ = run_cli(
+            ["report", "--tmax", "200", "--k", "0,1", "--a", "0.5,1",
+             "--out-dir", str(tmp_path / "r"), "--step", "0.1"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert calls == [0.5, 1.0]
 
     def test_out_of_envelope_exits_1(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(

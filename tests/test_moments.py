@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammainc
 
+from zetalab import accumulate
 from zetalab import moments as mo
 from zetalab.errors import (CoverageError, DivisionError, DomainError,
                             RangeError)
 from zetalab.pair_correlation import FGrid, f_grid
 from zetalab.zero_catalog import ZeroTable
-from zetalab.zeta_engine import EvalPoint
+from zetalab.zeta_engine import EmProfile, EvalPoint, ZetaEngine
 
 T_UNIT = 500.0
 A_UNIT = 1.0
@@ -46,9 +48,57 @@ class TestQuadrature:
     def test_refinement_doubling_within_err(self, engine_fast, zero_source, monkeypatch):
         tab = zero_source.table(200.0)
         base = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast, tab)
-        monkeypatch.setattr(mo, "REFINE", 32)
+        monkeypatch.setattr(mo, "NODES_PER_WIDTH", 32)
         denser = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast, tab)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
+
+    @pytest.mark.parametrize("n", [12, 25, 101, 1000])
+    def test_gregory_weights_exact_below_degree_6(self, n):
+        w = mo._gregory_weights(0, n + 1, n)
+        x = np.arange(n + 1) / n
+        for degree in range(mo.GREGORY_ORDER):
+            assert float(w @ x ** degree) / n == pytest.approx(
+                1.0 / (degree + 1), rel=1e-13)
+        if n < 100:  # degree 6 is not integrated exactly
+            assert abs(float(w @ x ** 6) / n - 1.0 / 7.0) > 1e-12
+        assert np.all(w > 0)  # the rounding bound relies on positive weights
+
+    def test_gregory_weights_blocks_concatenate(self):
+        n = 40
+        whole = mo._gregory_weights(0, n + 1, n)
+        blocks = [mo._gregory_weights(i0, min(i0 + 8, n + 1), n)
+                  for i0 in range(0, n + 1, 8)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_rule_on_pole_near_the_axis(self):
+        """A Lorentzian with its pole at distance d from the axis, sampled
+        at NODES_PER_WIDTH nodes per d, as the sweep samples its integrand."""
+        d, c, lo, hi = 0.3, 2.0, 0.0, 7.0
+        f = lambda u: 1.0 / ((u - c) ** 2 + d * d)
+        n = 2 * math.ceil(mo.NODES_PER_WIDTH * (hi - lo) / (2 * d))
+        h = (hi - lo) / n
+        rule = float(mo._gregory_weights(0, n + 1, n) @ f(lo + h * np.arange(n + 1))) * h
+        ref, _ = quad(f, lo, hi, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
+        assert rule == pytest.approx(ref, rel=1e-10)
+
+    def test_err_covers_profile_gap(self, quad_memo, engine, zero_source):
+        t = 200.0
+        fast = quad_memo.batch((0, 1, 2), A_UNIT, t)
+        strict = mo.i_k_quadrature_batch([0, 1, 2], A_UNIT, t, engine,
+                                         zero_source.table(t))
+        for f_est, s_est in zip(fast, strict):
+            assert f_est.err_estimate >= abs(f_est.value - s_est.value)
+
+    @pytest.mark.parametrize("t", [51.5, 200.0, 500.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_within_err_of_reference_sweep(self, quad_memo, zero_source, a, t):
+        """FAST values lie within their own err_estimate of a sweep with a
+        profile more accurate than STRICT."""
+        reference = ZetaEngine(EmProfile(4.0, 16))
+        refs = mo.i_k_quadrature_batch([0, 1, 2], a, t, reference,
+                                       zero_source.table(t))
+        for est, ref in zip(quad_memo.batch((0, 1, 2), a, t), refs):
+            assert abs(est.value - ref.value) <= est.err_estimate
 
     def test_envelope_validation(self, engine_fast, zero_source):
         tab = zero_source.table(200.0)
@@ -165,6 +215,12 @@ class TestDiscrete:
         d_est = mo.MomentEstimate("D_discrete", 0, 2.0, 500.0, 1e-12, 1.0)
         with pytest.raises(DivisionError):
             mo._ratio_of(i_est, d_est)
+
+
+@pytest.mark.parametrize("module,name", [(accumulate, "tree_sum"),
+                                         (mo, "weight_alpha_max")])
+def test_unused_helpers_removed(module, name):
+    assert not hasattr(module, name)
 
 
 class TestEstimateType:

@@ -83,6 +83,12 @@ class TestFGrid:
         with pytest.raises(DomainError):
             FGrid(100.0, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
+    def test_oversized_grid_refused_before_allocating(self, zero_source):
+        tab = zero_source.table(100.0)
+        for step in (1e-12, 1e-300):
+            with pytest.raises(DomainError):
+                f_grid(tab, 100.0, 1.0, step)
+
     def test_threads_do_not_change_values(self, zero_source):
         tab = zero_source.table(100.0)
         serial = f_grid(tab, 100.0, 2.0, 0.05, threads=1)

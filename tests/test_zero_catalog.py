@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.errors import (CoverageError, DomainError, OrderError,
+from zetalab import zero_catalog as zc
+from zetalab.errors import (CoverageError, DomainError, IoError, OrderError,
                             ParseError, RangeError)
 from zetalab.zero_catalog import (ZeroTable, export_zeros, find_zeros,
                                   import_zeros, load_or_find, verify_counts)
@@ -208,6 +209,18 @@ class TestCache:
         second = load_or_find(50.0, cache=tmp_path, engine=engine)
         assert np.allclose(first.ordinates, second.ordinates, atol=1e-9)
         assert second.t_max == 50.0
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_leaves_no_cache_entry(self, tmp_path, engine,
+                                                monkeypatch, step):
+        """A write interrupted before or at the rename leaves nothing behind."""
+        def fail(*args):
+            raise OSError(f"simulated {step} failure")
+
+        monkeypatch.setattr(zc.os, step, fail)
+        with pytest.raises(IoError):
+            load_or_find(50.0, cache=tmp_path, engine=engine)
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         from zetalab.zero_catalog import cache_dir
