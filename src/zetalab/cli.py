@@ -21,6 +21,8 @@ from .errors import ZetalabError
 from .zeta_engine import FAST, STRICT, ZetaEngine
 
 IDENTITY_A_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+FTABLE_HEADER = ["alpha", "f_value"]
+IDENTITY_HEADER = ["k", "a", "gr_residual"]
 
 
 def _fmt(x) -> str:
@@ -64,26 +66,30 @@ def _parse_int_list(text: str) -> list[int]:
 # --------------------------------------------------------------------------
 
 def cmd_zeros(args) -> int:
+    """Compute a table through the cache, or import one; write it only to --out."""
     if args.import_path:
         table = zc.import_zeros(args.import_path)
     else:
         table = zc.load_or_find(args.tmax, cache=args.cache,
                                 engine=ZetaEngine(STRICT), threads=args.threads)
     report = zc.verify_counts(table)
-    out_path = args.out or str(zc.cache_dir(args.cache) / f"zeros-tmax-{table.t_max:.6f}.txt")
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    zc.export_zeros(table, out_path)
     print(f"{len(table)} zeros, RvM expected {report.expected:.2f}, "
           f"{'PASS' if report.passed else 'FAIL'}")
-    print(f"written: {out_path}")
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        zc.export_zeros(table, args.out)
+        print(f"written: {args.out}")
     return 0
+
+
+def _ftable_rows(grid):
+    return [[float(a), float(v)] for a, v in zip(grid.alphas, grid.values)]
 
 
 def cmd_ftable(args) -> int:
     table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
     grid = pc.f_grid(table, args.tmax, args.alpha_max, args.step, threads=args.threads)
-    rows = [[float(a), float(v)] for a, v in zip(grid.alphas, grid.values)]
-    _emit(rows, ["alpha", "f_value"], args.out)
+    _emit(_ftable_rows(grid), FTABLE_HEADER, args.out)
     return 0
 
 
@@ -182,10 +188,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _identity_rows(ks):
+    return [[k, a, pred.gr_identity_residual(k, a)] for k in ks for a in IDENTITY_A_GRID]
+
+
 def cmd_identity(args) -> int:
-    rows = [[k, a, pred.gr_identity_residual(k, a)]
-            for k in range(args.kmax + 1) for a in IDENTITY_A_GRID]
-    _emit(rows, ["k", "a", "gr_residual"], args.out)
+    _emit(_identity_rows(range(args.kmax + 1)), IDENTITY_HEADER, args.out)
     return 0
 
 
@@ -207,8 +215,7 @@ def cmd_report(args) -> int:
     table = zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
     grid = pc.f_grid(table, args.tmax, args.alpha_max, args.step, threads=args.threads)
 
-    rows = [[float(a), float(v)] for a, v in zip(grid.alphas, grid.values)]
-    _emit(rows, ["alpha", "f_value"], str(out_dir / "ftable.csv"))
+    _emit(_ftable_rows(grid), FTABLE_HEADER, str(out_dir / "ftable.csv"))
 
     methods = ("quad", "zeros", "fromF")
     quads = _quadratures(args.k, args.a, args.tmax, table)
@@ -218,9 +225,7 @@ def cmd_report(args) -> int:
     rows = _discrete_rows(args.k, args.a, args.tmax, quads, table)
     _emit(rows, DISCRETE_HEADER, str(out_dir / "discrete.csv"))
 
-    rows = [[k, a, pred.gr_identity_residual(k, a)]
-            for k in args.k for a in IDENTITY_A_GRID]
-    _emit(rows, ["k", "a", "gr_residual"], str(out_dir / "identity.csv"))
+    _emit(_identity_rows(args.k), IDENTITY_HEADER, str(out_dir / "identity.csv"))
     print(f"report written to {out_dir}")
     return 0
 

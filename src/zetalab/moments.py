@@ -143,8 +143,7 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
                  2 * GREGORY_ORDER)
     n = 2 * half_n
     h = (t - 1.0) / n
-    other = ZetaEngine(STRICT if engine.profile == FAST else FAST,
-                       engine.circle_nodes)
+    other = ZetaEngine(STRICT if engine.profile == FAST else FAST)
 
     kmax = max(ks)
     fine, coarse, rival = [], [], []

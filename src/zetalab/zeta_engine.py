@@ -2,16 +2,21 @@
 
 The backend is Euler-Maclaurin summation: the Dirichlet main sum of length
 N, the two boundary terms, and R Bernoulli correction terms, with the tail
-bounded through the first omitted correction term.  Two evaluation paths
-are provided on top of it:
+bounded through the first omitted correction term.  One block kernel,
+``_em_block``, evaluates zeta^(j)(s) = sum_n n^{-s} (-ln n)^j plus the
+differentiated smooth part for up to ``ZetaEngine.CHUNK`` points at once,
+and ``ZetaEngine._zeta_derivs`` feeds it block by block.  Everything else
+is built on top of that pair:
 
 * single points: ``zeta_derivatives`` obtains zeta^(j) from Cauchy's
-  integral formula on a circle around s (trapezoid rule, spectrally
-  accurate), which avoids differentiating the correction terms;
+  integral formula on a circle around s (trapezoid rule on the kernel's
+  values at the circle nodes, spectrally accurate);
 * bulk sweeps along a vertical line: ``zeta_derivs_uniform``/``_points``
-  differentiate the Euler-Maclaurin formula term by term, which vectorizes
+  ask the kernel for the derivative columns directly, which vectorizes
   over thousands of heights at once and is the only affordable option for
-  the moment quadratures.
+  the moment quadratures.  Uniform sweeps pass their step, and the kernel
+  then builds the n^{-s} matrix by a cumulative product instead of one
+  exponential per entry.
 
 Both paths are cross-checked against each other in the test suite.  Error
 estimates everywhere are heuristic first-order propagation, not certified
@@ -93,18 +98,6 @@ class EvalPoint:
 # Euler-Maclaurin building blocks
 # --------------------------------------------------------------------------
 
-_LOGN = np.log(np.arange(1, 4097, dtype=float))
-
-
-def _logs(n_terms: int) -> np.ndarray:
-    """ln(1), ..., ln(n_terms) from a growable module-level cache."""
-    global _LOGN
-    if _LOGN.size < n_terms:
-        size = 1 << max(12, (n_terms - 1).bit_length())
-        _LOGN = np.log(np.arange(1, size + 1, dtype=float))
-    return _LOGN[:n_terms]
-
-
 @lru_cache(maxsize=None)
 def _bernoulli_factors(r_max: int) -> tuple[float, ...]:
     """B_{2r} / (2r)! for r = 1..r_max."""
@@ -180,6 +173,28 @@ def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.
     return out
 
 
+def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
+              step: float | None) -> np.ndarray:
+    """zeta^(j)(s) for j = 0..jmax over one block of complex points.
+
+    The main-sum length follows the block's own max |Im s|.  With ``step``
+    the points must be s[0] + i step m, and the rows of the n^{-s} matrix
+    come from a cumulative product; otherwise each entry is one exponential.
+    """
+    n_len = _main_sum_length(float(np.max(np.abs(s.imag))), profile)
+    logs = np.log(np.arange(1.0, n_len))
+    if step is None:
+        npow = np.multiply.outer(-s, logs)
+        np.exp(npow, out=npow)
+    else:
+        npow = np.empty((s.size, n_len - 1), dtype=complex)
+        npow[0] = np.exp(-s[0] * logs)
+        npow[1:] = np.exp(-1j * step * logs)
+        np.cumprod(npow, axis=0, out=npow)
+    weights = np.power.outer(-logs, np.arange(jmax + 1))
+    return npow @ weights + _em_smooth_derivs(s, n_len, jmax, profile.correction_terms)
+
+
 # --------------------------------------------------------------------------
 # Engine
 # --------------------------------------------------------------------------
@@ -191,37 +206,39 @@ class ZetaEngine:
     to share between threads.
     """
 
-    #: heights per block of a bulk sweep; bounds the count x N phase matrix
+    #: points per kernel block; bounds the block x N matrix of n^{-s}
     CHUNK = 4096
+    #: trapezoid nodes on the Cauchy circle of ``zeta_derivatives``
+    circle_nodes = 64
 
-    def __init__(self, profile: EmProfile = STRICT, circle_nodes: int = 64):
+    def __init__(self, profile: EmProfile = STRICT):
         self.profile = profile
-        self.circle_nodes = int(circle_nodes)
+
+    def _zeta_derivs(self, s: np.ndarray, jmax: int, profile: EmProfile,
+                     step: float | None = None) -> tuple[np.ndarray, float]:
+        """zeta^(j)(s) for a 1-d array of points, j <= jmax, plus one error bound.
+
+        ``step`` declares the points uniform, s[m] = s[0] + i step m.  The
+        bound is the tail at min sigma and max |t| with the main-sum length
+        of max |t|, times (ln N)^jmax for the differentiated terms.
+        """
+        if s.size == 0:
+            return np.zeros((0, jmax + 1), dtype=complex), 0.0
+        out = np.empty((s.size, jmax + 1), dtype=complex)
+        for m0 in range(0, s.size, self.CHUNK):
+            out[m0:m0 + self.CHUNK] = _em_block(s[m0:m0 + self.CHUNK], jmax, profile, step)
+        t_hi = float(np.max(np.abs(s.imag)))
+        n_len = _main_sum_length(t_hi, profile)
+        err = _tail_bound(float(np.min(s.real)), t_hi, n_len, profile.correction_terms)
+        return out, err * max(1.0, math.log(n_len)) ** jmax
 
     # -- raw zeta at arbitrary complex points ------------------------------
 
-    def zeta_points(self, s: np.ndarray,
-                    profile: EmProfile | None = None) -> tuple[np.ndarray, float]:
+    def zeta_points(self, s: np.ndarray) -> tuple[np.ndarray, float]:
         """zeta(s) for an array of complex points, plus one error bound."""
-        profile = profile or self.profile
         s = np.asarray(s, dtype=complex)
-        if s.size == 0:
-            return s.copy(), 0.0
-        t_abs = float(np.max(np.abs(s.imag)))
-        sigma_min = float(np.min(s.real))
-        n_len = _main_sum_length(t_abs, profile)
-        logs = _logs(n_len - 1)
-        vals = np.empty(s.shape, dtype=complex)
-        flat = s.ravel()
-        out = vals.ravel()
-        step = max(1, (1 << 22) // n_len)
-        for i0 in range(0, flat.size, step):
-            blk = flat[i0:i0 + step]
-            main = np.exp(-blk[:, None] * logs[None, :]).sum(axis=1)
-            out[i0:i0 + blk.size] = main
-        vals += _em_smooth_derivs(flat, n_len, 0, profile.correction_terms)[..., 0].reshape(s.shape)
-        err = _tail_bound(sigma_min, t_abs, n_len, profile.correction_terms)
-        return vals, err
+        vals, err = self._zeta_derivs(s.ravel(), 0, self.profile)
+        return vals[:, 0].reshape(s.shape), err
 
     def zeta(self, s: complex) -> ComplexEval:
         v, e = self.zeta_points(np.array([s], dtype=complex))
@@ -231,70 +248,13 @@ class ZetaEngine:
 
     def zeta_derivs_uniform(self, sigma: float, t0: float, step: float,
                             count: int, jmax: int) -> tuple[np.ndarray, float]:
-        """zeta^(j)(sigma + i(t0 + m step)), m < count, j <= jmax.
-
-        Exploits the uniform spacing: the phase matrix n^{-it} is built by a
-        cumulative-product recurrence (one exp per chunk start) instead of
-        per-point exponentials, and all derivative orders come from a single
-        matrix product against (-ln n)^j n^{-sigma} weights.
-        """
-        if count <= 0:
-            return np.zeros((0, jmax + 1), dtype=complex), 0.0
-        t_hi = max(abs(t0), abs(t0 + (count - 1) * step))
-        n_len = _main_sum_length(t_hi, self.profile)
-        out = np.empty((count, jmax + 1), dtype=complex)
-        for m0 in range(0, count, self.CHUNK):
-            m1 = min(m0 + self.CHUNK, count)
-            t_start = t0 + m0 * step
-            t_chunk_hi = max(abs(t_start), abs(t0 + (m1 - 1) * step))
-            n_chunk = _main_sum_length(t_chunk_hi, self.profile)
-            out[m0:m1] = self._derivs_chunk_uniform(sigma, t_start, step, m1 - m0, jmax, n_chunk)
-        return out, self._line_err(sigma, t_hi, n_len, jmax)
-
-    def _derivs_chunk_uniform(self, sigma, t_start, step, count, jmax, n_len):
-        logs = _logs(n_len - 1)
-        weights = np.empty((n_len - 1, jmax + 1))
-        base = np.exp(-sigma * logs)
-        weights[:, 0] = base
-        for j in range(1, jmax + 1):
-            weights[:, j] = weights[:, j - 1] * (-logs)
-        phases = np.empty((count, n_len - 1), dtype=complex)
-        phases[0] = np.exp(-1j * t_start * logs)
-        if count > 1:
-            phases[1:] = np.exp(-1j * step * logs)[None, :]
-            np.cumprod(phases, axis=0, out=phases)
-        vals = phases @ weights.astype(complex)
-        s_arr = sigma + 1j * (t_start + step * np.arange(count))
-        vals += _em_smooth_derivs(s_arr, n_len, jmax, self.profile.correction_terms)
-        return vals
+        """zeta^(j)(sigma + i(t0 + m step)), m < count, j <= jmax."""
+        ts = t0 + step * np.arange(count)
+        return self._zeta_derivs(sigma + 1j * ts, jmax, self.profile, step)
 
     def zeta_derivs_points(self, sigma: float, ts: np.ndarray, jmax: int) -> tuple[np.ndarray, float]:
         """Same as :meth:`zeta_derivs_uniform` for an arbitrary set of heights."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size == 0:
-            return np.zeros((0, jmax + 1), dtype=complex), 0.0
-        t_hi = float(np.max(np.abs(ts)))
-        n_len = _main_sum_length(t_hi, self.profile)
-        out = np.empty((ts.size, jmax + 1), dtype=complex)
-        for m0 in range(0, ts.size, self.CHUNK):
-            blk = ts[m0:m0 + self.CHUNK]
-            n_blk = _main_sum_length(float(np.max(np.abs(blk))), self.profile)
-            logs = _logs(n_blk - 1)
-            weights = np.empty((n_blk - 1, jmax + 1))
-            base = np.exp(-sigma * logs)
-            weights[:, 0] = base
-            for j in range(1, jmax + 1):
-                weights[:, j] = weights[:, j - 1] * (-logs)
-            phases = np.exp(-1j * blk[:, None] * logs[None, :])
-            vals = phases @ weights.astype(complex)
-            s_arr = sigma + 1j * blk
-            vals += _em_smooth_derivs(s_arr, n_blk, jmax, self.profile.correction_terms)
-            out[m0:m0 + blk.size] = vals
-        return out, self._line_err(sigma, t_hi, n_len, jmax)
-
-    def _line_err(self, sigma: float, t_hi: float, n_len: int, jmax: int) -> float:
-        base = _tail_bound(sigma, t_hi, n_len, self.profile.correction_terms)
-        return base * max(1.0, math.log(n_len)) ** jmax
+        return self._zeta_derivs(sigma + 1j * np.asarray(ts, dtype=float), jmax, self.profile)
 
     # -- log-derivative recursion ------------------------------------------
 
@@ -361,7 +321,8 @@ class ZetaEngine:
         # j! / r^j factor amplifies every sample error; boost the budget
         boosted = EmProfile(self.profile.sum_multiplier + 0.8,
                             self.profile.correction_terms + 2)
-        fv, fe = self.zeta_points(nodes, profile=boosted)
+        fv, fe = self._zeta_derivs(nodes, 0, boosted)
+        fv = fv[:, 0]
         coeff = np.fft.fft(fv) / m_nodes          # coeff[j] ~ a_j r^j
         tail = float(np.max(np.abs(coeff[m_nodes - 4:])))
         bessel_arg = radius * math.log(_main_sum_length(abs(p.t) + radius, boosted))

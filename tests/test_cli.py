@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from zetalab import moments as mo
+from zetalab import zero_catalog as zc
 from zetalab.cli import cmd_dispatch
 
 
@@ -40,6 +41,28 @@ class TestZerosCommand:
             tmp_path, monkeypatch, capsys)
         assert code == 0
         assert "10 zeros" in out
+
+    def test_import_without_out_leaves_cache_empty(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("14.134725141734\n21.022039638771\n25.010857580146\n")
+        code, out, _ = run_cli(["zeros", "--import", str(src)],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert "3 zeros" in out
+        assert not list((tmp_path / "cache").glob("zeros-tmax-*.txt"))
+
+    def test_compute_exports_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        export = zc.export_zeros
+
+        def counted(table, path):
+            calls.append(path)
+            export(table, path)
+
+        monkeypatch.setattr(zc, "export_zeros", counted)
+        code, _, _ = run_cli(["zeros", "--tmax", "100"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bad_import_is_domain_exit(self, tmp_path, monkeypatch, capsys):
         src = tmp_path / "bad.txt"

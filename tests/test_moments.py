@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from zetalab import accumulate
+from zetalab import accumulate, zeta_engine
 from zetalab import moments as mo
 from zetalab.errors import (CoverageError, DivisionError, DomainError,
                             RangeError)
@@ -218,7 +218,11 @@ class TestDiscrete:
 
 
 @pytest.mark.parametrize("module,name", [(accumulate, "tree_sum"),
-                                         (mo, "weight_alpha_max")])
+                                         (mo, "weight_alpha_max"),
+                                         (zeta_engine, "_logs"),
+                                         (zeta_engine, "_LOGN"),
+                                         (ZetaEngine, "_derivs_chunk_uniform"),
+                                         (ZetaEngine, "_line_err")])
 def test_unused_helpers_removed(module, name):
     assert not hasattr(module, name)
 

@@ -98,6 +98,29 @@ class TestDerivatives:
             EvalPoint(3.5, 10.0)
 
 
+class TestKernel:
+    def test_blocks_of_different_lengths_match_single_points(self, engine):
+        """More than CHUNK points: each block sums to its own max |t|."""
+        rng = np.random.default_rng(11)
+        chunk = ZetaEngine.CHUNK
+        sigma = rng.uniform(0.55, 2.5, chunk + 1000)
+        t = np.concatenate([rng.uniform(-300.0, 300.0, chunk),
+                            rng.uniform(-300.0, 1500.0, 1000)])
+        s = sigma + 1j * t
+        vals, err = engine.zeta_points(s)
+        assert vals.shape == s.shape
+        for lo, hi in ((0, chunk), (chunk, s.size)):
+            for i in rng.choice(np.arange(lo, hi), 8, replace=False):
+                assert abs(vals[i] - engine.zeta(s[i]).value) <= err
+
+    def test_empty_input(self, engine):
+        vals, err = engine.zeta_points(np.array([], dtype=complex))
+        assert vals.shape == (0,) and err == 0.0
+        for vals, err in (engine.zeta_derivs_points(0.8, np.array([]), 3),
+                          engine.zeta_derivs_uniform(0.8, 10.0, 0.1, 0, 3)):
+            assert vals.shape == (0, 4) and err == 0.0
+
+
 class TestLogDerivative:
     def test_value_at_2_against_von_mangoldt_sum(self, engine):
         got = engine.log_derivative_k(EvalPoint(2.0, 0.0), 0)
