@@ -61,6 +61,13 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", parents=[common],
                        help="quadrature residual of the coefficient identity")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_nonnegative_int, required=True)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("tauberian", parents=[common],

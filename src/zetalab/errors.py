@@ -9,6 +9,10 @@ class DomainError(ZetalabError, ValueError):
     """Input outside the supported domain of an operation."""
 
 
+class OrderLimitError(ZetalabError, OverflowError):
+    """Order too high for an evaluation that must stay exact."""
+
+
 class PrecisionError(ZetalabError):
     """Requested accuracy cannot be reached within the configured budget."""
 

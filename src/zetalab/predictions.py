@@ -9,19 +9,23 @@ grows like c_k(a) T (log T)^(2k+2) with
 and the discrete moment D_k(a,T) like d_k(a) T (log T)^(2k+2) with
 d_k(a) = c_k(a/2)/(2 pi).  The same c_k(a) equals the elementary integral
 int_0^1 x^(2k+1) e^(-2ax) dx + int_1^inf x^(2k) e^(-2ax) dx, which
-``gr_identity_residual`` verifies by quadrature.  Factorials are exact
-integers up to k = 8; beyond that the evaluation refuses rather than lose
-precision.
+``gr_identity_residual`` verifies by composite Gauss-Legendre quadrature
+in longdouble, guarded by a panel-halving comparison that raises
+PrecisionError when the two rules disagree.  Factorials are exact
+integers up to k = 8; beyond that the evaluation refuses, with
+OrderLimitError, rather than lose precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, PrecisionError, RangeError
+from .errors import DomainError, OrderLimitError, PrecisionError, RangeError
 from .pair_correlation import FGrid, f_window_integral
 
 _K_LIMIT = 8
@@ -46,7 +50,7 @@ def _validate(k: int, a: float) -> None:
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k > _K_LIMIT:
-        raise OverflowError(
+        raise OrderLimitError(
             f"k={k} above {_K_LIMIT}: factorial evaluation would lose precision")
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError("a must be positive")
@@ -80,27 +84,53 @@ def coefficient_d(k: int, a: float) -> CoefficientResult:
     return CoefficientResult(k, a, _closed_form(k, a) / (2.0 * math.pi), "D_discrete")
 
 
-def _simpson_longdouble(power: int, a: float, lo: float, hi: float,
-                        n_panels: int) -> np.longdouble:
-    """Composite Simpson of x^power e^(-2ax) on [lo, hi] in extended precision.
+#: Gauss-Legendre nodes per panel of the identity quadrature
+_GL_NODES = 20
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] in longdouble.
+
+    ``leggauss`` gives them to float64 accuracy; Newton steps on the
+    three-term Legendre recurrence, run in longdouble, finish the nodes.
+    """
+    x = leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p_prev, p = np.ones_like(x), x
+        for m in range(1, n):
+            p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        x = x - p / dp
+    w = 2 / ((1 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre_longdouble(power: int, a: float, lo: float, hi: float,
+                               n_panels: int) -> np.longdouble:
+    """Composite Gauss-Legendre of x^power e^(-2ax) on [lo, hi] in extended precision.
 
     The identity this feeds is checked at absolute 1e-8 against targets as
     large as ~1e7, i.e. near the float64 noise floor, so the quadrature side
-    runs in longdouble; a step-doubling pass guards the truncation error.
+    runs in longdouble.  The rule runs on n_panels and on 2 n_panels equal
+    panels; their difference guards the truncation error, and the value is
+    the finer rule.
     """
-    def rule(m: int) -> np.longdouble:
-        xs = np.linspace(np.longdouble(lo), np.longdouble(hi), 2 * m + 1)
-        ys = xs ** power * np.exp(np.longdouble(-2.0 * a) * xs)
-        w = np.full(2 * m + 1, 2.0, dtype=np.longdouble)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return np.dot(w, ys) * (xs[1] - xs[0]) / np.longdouble(3)
+    x, w = _gauss_legendre(_GL_NODES)
 
-    fine = rule(n_panels)
-    coarse = rule(n_panels // 2)
+    def rule(m: int) -> np.longdouble:
+        edges = np.linspace(np.longdouble(lo), np.longdouble(hi), m + 1)
+        half = (edges[1] - edges[0]) / 2
+        xs = np.add.outer(edges[:-1] + half, half * x)
+        ys = xs ** power * np.exp(np.longdouble(-2.0 * a) * xs)
+        return half * np.sum(ys @ w)
+
+    coarse = rule(n_panels)
+    fine = rule(2 * n_panels)
     if abs(float(fine - coarse)) > 1e-9 * max(1.0, abs(float(fine))):
         raise PrecisionError("identity quadrature failed to converge")
-    return (np.longdouble(16) * fine - coarse) / np.longdouble(15)
+    return fine
 
 
 def gr_identity_residual(k: int, a: float) -> float:
@@ -108,7 +138,13 @@ def gr_identity_residual(k: int, a: float) -> float:
 
     int_0^1 x^(2k+1) e^(-2ax) dx + int_1^cut x^(2k) e^(-2ax) dx + tail,
     with the cut chosen so the analytic tail bound is below 1e-12 absolute
-    (the comparison is against an absolute residual threshold).
+    (the comparison is against an absolute residual threshold).  Both
+    integrals use composite Gauss-Legendre with ``_GL_NODES`` nodes per
+    panel in longdouble: [0, 1] as one panel, [1, cut] in panels at most
+    1/(2a) wide, over which e^(-2ax) falls by at most a factor e.  Each
+    part is summed again on panels of half that width, which gives the
+    value; a difference above 1e-9 relative between the two sums raises
+    PrecisionError.
     """
     _validate(k, a)
 
@@ -120,8 +156,8 @@ def gr_identity_residual(k: int, a: float) -> float:
     cut = max(2.0, 4.0 * k / a + 2.0)
     while tail_majorant(cut) > 1e-12:
         cut *= 1.5
-    part1 = _simpson_longdouble(2 * k + 1, a, 0.0, 1.0, 2000)
-    part2 = _simpson_longdouble(2 * k, a, 1.0, cut, max(4000, int(400 * cut)))
+    part1 = _gauss_legendre_longdouble(2 * k + 1, a, 0.0, 1.0, 1)
+    part2 = _gauss_legendre_longdouble(2 * k, a, 1.0, cut, math.ceil(2.0 * a * (cut - 1.0)))
     total = part1 + part2 + np.longdouble(tail_majorant(cut))
     closed = _closed_form(k, np.longdouble(2.0) * np.longdouble(a))
     return abs(float(total - closed))

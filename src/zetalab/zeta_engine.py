@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 from scipy.special import bernoulli as _bernoulli
 from scipy.special import iv as _bessel_iv
 from scipy.special import loggamma as _loggamma
@@ -99,21 +100,22 @@ class EvalPoint:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bernoulli_factors(r_max: int) -> tuple[float, ...]:
-    """B_{2r} / (2r)! for r = 1..r_max."""
-    b = _bernoulli(2 * r_max)
-    return tuple(float(b[2 * r]) / math.factorial(2 * r) for r in range(1, r_max + 1))
+def _bernoulli_poly_table(r_terms: int, jmax: int) -> np.ndarray:
+    """B_{2r}/(2r)! d^m/ds^m (s)_{2r-1} as ascending coefficients in s.
 
-
-@lru_cache(maxsize=None)
-def _rising_poly_derivs(r: int, jmax: int) -> tuple[np.ndarray, ...]:
-    """Coefficients of d^m/ds^m prod_{i=0}^{2r-2}(s+i), m = 0..jmax."""
-    poly = np.poly(np.arange(0, -(2 * r - 1), -1, dtype=float))
-    out = []
-    for _ in range(jmax + 1):
-        out.append(poly.copy())
-        poly = np.polyder(poly)
-    return tuple(out)
+    Entry [r-1, m, d] is the coefficient of s^d, for r = 1..r_terms and
+    m = 0..jmax; (s)_{2r-1} = s (s+1) ... (s+2r-2) is the rising factorial.
+    """
+    b = _bernoulli(2 * r_terms)
+    table = np.zeros((r_terms, jmax + 1, 2 * r_terms))
+    for r in range(1, r_terms + 1):
+        poly = _poly.polyfromroots(-np.arange(2 * r - 1.0))
+        poly *= float(b[2 * r]) / math.factorial(2 * r)
+        for m in range(jmax + 1):
+            table[r - 1, m, :poly.size] = poly
+            poly = _poly.polyder(poly)
+    table.flags.writeable = False
+    return table
 
 
 def _main_sum_length(t_abs: float, profile: EmProfile) -> int:
@@ -136,40 +138,33 @@ def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.
     """d^j/ds^j of the non-sum part of the Euler-Maclaurin formula.
 
     Covers N^{1-s}/(s-1), N^{-s}/2 and the Bernoulli corrections
-    B_{2r}/(2r)! * (s)_{2r-1} * N^{-s-2r+1}, all by Leibniz expansion.
+    B_{2r}/(2r)! * (s)_{2r-1} * N^{-s-2r+1}.  Each is N^{-s} h(s), so by
+    Leibniz d^j(N^{-s} h) = N^{-s} sum_m L[j, m] h^(m) with
+    L[j, m] = C(j, m) (-ln N)^(j-m).  The polynomial parts of all h^(m),
+    the 1/2 and the Bernoulli sums over r, fold into one coefficient table
+    per column j, evaluated by a single Horner pass over s; the pole part
+    N (-1)^m m! (s-1)^{-m-1} goes through the same matrix L.
     """
     ln_n = math.log(n_len)
-    out = np.zeros(s.shape + (jmax + 1,), dtype=complex)
-    npow = np.exp(-s * ln_n)            # N^{-s}
-    inv1 = 1.0 / (s - 1.0)
+    orders = range(jmax + 1)
+    leibniz = np.array([[math.comb(j, m) * (-ln_n) ** (j - m) for m in orders]
+                        for j in orders])
 
-    neg_ln = [(-ln_n) ** p for p in range(jmax + 1)]
-    facts = [math.factorial(m) for m in range(jmax + 1)]
+    r = np.arange(1, r_terms + 1)
+    poly = np.tensordot(float(n_len) ** (1 - 2 * r), _bernoulli_poly_table(r_terms, jmax), axes=1)
+    poly[0, 0] += 0.5
+    coeffs = leibniz @ poly                  # coeffs[j, d] multiplies s^d
+    s_col = s[..., None]
+    out = np.empty(s.shape + (jmax + 1,), dtype=complex)
+    out[...] = coeffs[:, -1]
+    for d in range(coeffs.shape[1] - 2, -1, -1):
+        out *= s_col
+        out += coeffs[:, d]
 
-    # N^{1-s}/(s-1): f = N^{1-s} has f^{(p)} = (-lnN)^p N^{1-s},
-    # g = 1/(s-1) has g^{(m)} = (-1)^m m! (s-1)^{-m-1}.
-    invpow = inv1.copy()
-    g_derivs = []
-    for m in range(jmax + 1):
-        g_derivs.append(((-1.0) ** m) * facts[m] * invpow)
-        invpow = invpow * inv1
-    for j in range(jmax + 1):
-        acc = np.zeros_like(s)
-        for m in range(j + 1):
-            acc += math.comb(j, m) * neg_ln[j - m] * g_derivs[m]
-        out[..., j] += n_len * npow * acc          # N^{1-s} = N * N^{-s}
-        out[..., j] += 0.5 * neg_ln[j] * npow      # N^{-s}/2 term
-
-    bern = _bernoulli_factors(r_terms)
-    for r in range(1, r_terms + 1):
-        polys = _rising_poly_derivs(r, jmax)
-        scale = bern[r - 1] * n_len ** (-(2 * r - 1))
-        pvals = [np.polyval(polys[m], s) for m in range(jmax + 1)]
-        for j in range(jmax + 1):
-            acc = np.zeros_like(s)
-            for m in range(j + 1):
-                acc += math.comb(j, m) * pvals[m] * neg_ln[j - m]
-            out[..., j] += scale * acc * npow
+    signed_fact = np.array([(-1.0) ** m * math.factorial(m) for m in orders])
+    pole = np.cumprod(np.broadcast_to(1.0 / (s_col - 1.0), out.shape), axis=-1)
+    out += pole @ (n_len * leibniz * signed_fact).T
+    out *= np.exp(-s_col * ln_n)
     return out
 
 

@@ -117,3 +117,34 @@ def composite_simpson(f, a: float, b: float, n_panels: int) -> float:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return float(np.dot(w, ys)) * (xs[1] - xs[0]) / 3.0
+
+
+def em_smooth_part_derivs(s: complex, n_len: int, jmax: int, r_terms: int,
+                          dps: int = 30) -> list[complex]:
+    """d^j/ds^j, j = 0..jmax, of the Euler-Maclaurin smooth part
+
+        N^{1-s}/(s-1) + N^{-s}/2 + sum_{r<=R} B_2r/(2r)! (s)_{2r-1} N^{-s-2r+1},
+
+    summed term by term in mpmath at ``dps`` digits and differentiated
+    numerically with ``mpmath.diff``.  Needs mpmath, which callers gate
+    with ``pytest.importorskip``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = mpmath.mpf(n_len)
+        coeffs = [mpmath.bernoulli(2 * r) / mpmath.factorial(2 * r)
+                  for r in range(1, r_terms + 1)]
+
+        def smooth(z):
+            npow = n ** (-z)
+            total = n * npow / (z - 1) + npow / 2
+            rising = z                                  # (z)_1
+            for r in range(1, r_terms + 1):
+                if r > 1:                               # (z)_{2r-1}
+                    rising *= (z + 2 * r - 3) * (z + 2 * r - 2)
+                total += coeffs[r - 1] * rising * npow / n ** (2 * r - 1)
+            return total
+
+        z0 = mpmath.mpc(s.real, s.imag)
+        return [complex(mpmath.diff(smooth, z0, j)) for j in range(jmax + 1)]

@@ -101,6 +101,12 @@ class TestPredictCommand:
         row = lines[1].split(",")
         assert float(row[2]) == pytest.approx((1 - math.exp(-2.0)) / 4.0, rel=1e-12)
 
+    def test_order_above_limit_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["predict", "--k", "9", "--a", "1"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: k=9")
+
 
 class TestIdentityCommand:
     def test_rows_and_threshold(self, tmp_path, monkeypatch, capsys):
@@ -110,6 +116,19 @@ class TestIdentityCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 15  # 3 k-values x 5 a-values
         assert all(float(r["gr_residual"]) < 1e-8 for r in rows)
+
+    def test_order_above_limit_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(["identity", "--kmax", "9"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: k=9")
+        assert out == ""
+
+    def test_negative_kmax_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cmd_dispatch(["identity", "--kmax", "-1"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
 
 
 class TestFtableCommand:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from zetalab.errors import DomainError, RangeError
+from zetalab import predictions
+from zetalab.errors import DomainError, PrecisionError, RangeError
 from zetalab.pair_correlation import FGrid
 from zetalab.predictions import (coefficient_c, coefficient_d,
                                  gr_identity_residual, tauberian_compare,
@@ -83,6 +84,21 @@ class TestIdentityResidual:
                     for k in range(5) for a in A_GRID)
         assert worst < 1e-8
         print(f"\nworst identity residual on the k<=4 matrix: {worst:.3e}")
+
+    def test_detects_shifted_closed_form(self, monkeypatch):
+        closed = predictions._closed_form
+
+        def shifted(k, twoa):
+            value = closed(k, twoa)
+            return value + np.longdouble(1e-9) if (k, float(twoa)) == (2, 0.5) else value
+
+        monkeypatch.setattr(predictions, "_closed_form", shifted)
+        assert gr_identity_residual(2, 0.25) == pytest.approx(1e-9, rel=0.1)
+
+    def test_coarse_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(predictions, "_GL_NODES", 3)
+        with pytest.raises(PrecisionError):
+            gr_identity_residual(2, 0.25)
 
 
 class TestTauberian:

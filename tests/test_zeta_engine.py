@@ -8,7 +8,7 @@ import pytest
 import oracles
 from zetalab.errors import DomainError, NearZeroError
 from zetalab.zeta_engine import (ComplexEval, EvalPoint, ZetaEngine,
-                                 riemann_siegel_theta)
+                                 _em_smooth_derivs, riemann_siegel_theta)
 
 ZETA2 = math.pi ** 2 / 6
 ZETA_PRIME_2 = -0.93754825431584375370
@@ -98,7 +98,29 @@ class TestDerivatives:
             EvalPoint(3.5, 10.0)
 
 
+# heights paired with each main-sum length: N = 32 is the floor for small
+# t, 414 and 2400 are the STRICT lengths at t = 1000 and t = 6000
+SMOOTH_HEIGHTS = {32: (3.0, -14.13, 50.0), 414: (-700.0, 1000.0),
+                  2400: (3000.0, -6000.0)}
+
+
 class TestKernel:
+    @pytest.mark.parametrize("n_len", sorted(SMOOTH_HEIGHTS))
+    @pytest.mark.parametrize("r_terms", [10, 12, 14])
+    @pytest.mark.parametrize("sigma", [0.52, 1.5])
+    def test_smooth_part_against_mpmath(self, sigma, r_terms, n_len):
+        pytest.importorskip("mpmath")
+        jmax = 5
+        s = sigma + 1j * np.array(SMOOTH_HEIGHTS[n_len])
+        got = _em_smooth_derivs(s, n_len, jmax, r_terms)
+        ref = np.array([oracles.em_smooth_part_derivs(z, n_len, jmax, r_terms)
+                        for z in s])
+        # N^{-s} in float64 carries the rounding of its phase t ln N, about
+        # |t| ln N eps relative, in every column alike
+        tol = 1e-12 + np.max(np.abs(s.imag)) * math.log(n_len) * np.finfo(float).eps
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(got - ref), axis=0) <= tol * scale)
+
     def test_blocks_of_different_lengths_match_single_points(self, engine):
         """More than CHUNK points: each block sums to its own max |t|."""
         rng = np.random.default_rng(11)
