@@ -2,12 +2,16 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zetalab
 from zetalab import moments as mo
+from zetalab import predictions as pred
 from zetalab import zero_catalog as zc
 from zetalab.cli import cmd_dispatch
 
@@ -84,9 +88,43 @@ class TestUsage:
             cmd_dispatch(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--k", "1", "--a", "1", "--threads", "2"],
+        ["identity", "--kmax", "1", "--cache", "d"],
+        ["report", "--tmax", "100", "--k", "0", "--a", "1", "--out-dir", "r", "--out", "f"],
+    ])
+    def test_options_the_command_does_not_read_exit_2(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cmd_dispatch(argv)
+        assert exc.value.code == 2
+
+    def test_unwritable_out_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "nodir" / "x.csv"
+        code, out, err = run_cli(["predict", "--k", "1", "--a", "1", "--out", str(target)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}")
+        assert out == ""
+
+    def test_out_dir_on_a_file_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(["report", "--tmax", "100", "--k", "0", "--a", "1",
+                                "--out-dir", str(blocker / "r")],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: cannot create")
+        code, _, err = run_cli(["zeros", "--tmax", "100", "--out", str(blocker / "z.txt")],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: cannot create")
+
     def test_console_entry_point(self):
+        src = Path(zetalab.__file__).parents[1]  # importable in the child without an install
         proc = subprocess.run([sys.executable, "-m", "zetalab.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0
         assert "zetalab" in proc.stdout
 
@@ -118,11 +156,20 @@ class TestIdentityCommand:
         assert all(float(r["gr_residual"]) < 1e-8 for r in rows)
 
     def test_order_above_limit_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        residual = pred.gr_identity_residual
+
+        def counted(k, a):
+            calls.append((k, a))
+            return residual(k, a)
+
+        monkeypatch.setattr(pred, "gr_identity_residual", counted)
         code, out, err = run_cli(["identity", "--kmax", "9"],
                                  tmp_path, monkeypatch, capsys)
         assert code == 1
         assert err.startswith("error: k=9")
         assert out == ""
+        assert calls == []  # refused before the first quadrature
 
     def test_negative_kmax_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -158,15 +205,18 @@ class TestMomentsCommand:
             assert col in row
         assert float(row["i_quadrature"]) > 0
 
-    def test_single_method(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("method, column", [
+        ("zeros", "i_zero_pairs"), ("quad", "i_quadrature"), ("fromF", "i_from_f")])
+    def test_single_method(self, method, column, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["moments", "--k", "0,1", "--a", "0.5", "--tmax", "200",
-             "--method", "zeros"],
+             "--method", method],
             tmp_path, monkeypatch, capsys)
         assert code == 0
-        rows = list(csv.DictReader(out.splitlines()))
+        header, *rows = list(csv.reader(out.splitlines()))
+        assert header == ["k", "a", "t", column, column + "_err", "coefficient_prediction"]
         assert len(rows) == 2
-        assert "i_zero_pairs" in rows[0] and "i_quadrature" not in rows[0]
+        assert all(len(row) == len(header) for row in rows)
 
 
 class TestTauberianCommand:
@@ -191,6 +241,18 @@ class TestDiscreteCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 1
         assert float(rows[0]["i_over_two_pi_d"]) > 0
+
+    def test_d_within_its_error_is_domain_exit(self, tmp_path, monkeypatch, capsys):
+        def vanishing(k, a, t, zeros, engine):
+            return mo.MomentEstimate("D_discrete", k, a, t, 0.5, 1.0)
+
+        monkeypatch.setattr(mo, "d_k", vanishing)
+        code, out, err = run_cli(
+            ["discrete", "--k", "0", "--a", "1", "--tmax", "200"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: 2 pi D_k")
+        assert out == ""
 
 
 class TestReportCommand:
