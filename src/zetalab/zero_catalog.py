@@ -1,9 +1,12 @@
 """Zero ordinates of zeta on the critical line: compute, import, verify, persist.
 
 Zeros are located as sign changes of the Hardy Z function on a fixed scan
-grid and refined by bisection.  Completeness is certified against the
-Riemann-von Mangoldt count; a failed census triggers one rescan with a
-finer step before giving up.  All zeros are treated as simple.
+grid and refined by the Illinois modified regula falsi (Dowell & Jarratt,
+BIT 11, 1971), run on all brackets at once: each round evaluates Z only at
+the false-position points of the brackets still wider than ``ROOT_TOL``.
+Completeness is certified against the Riemann-von Mangoldt count; a failed
+census triggers one rescan with a finer step before giving up.  All zeros
+are treated as simple.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .zeta_engine import TWO_PI, ZetaEngine
 SCAN_START = 2.0
 SCAN_STEP = 0.05
 RESCAN_STEP = 0.01
-BISECT_TOL = 1e-9
+ROOT_TOL = 1e-9
+#: Illinois rounds before the brackets still open fall back to bisection
+FALSE_POSITION_ROUNDS = 16
 DEFAULT_PRECISION = 1e-9
 
 CACHE_ENV = "ZETALAB_CACHE"
@@ -97,8 +102,8 @@ def verify_counts(table: ZeroTable) -> CountReport:
 # --------------------------------------------------------------------------
 
 def _scan_sign_changes(engine: ZetaEngine, t_max: float, step: float,
-                       threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Hardy Z on the scan grid; returns bracket (lo, z_lo) arrays."""
+                       threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hardy Z on the scan grid; returns the brackets as (lo, z_lo, z_hi)."""
     count = int(math.ceil((t_max - SCAN_START) / step)) + 1
     grid = SCAN_START + step * np.arange(count + 1)
 
@@ -111,23 +116,41 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float, step: float,
 
     z = np.concatenate(parallel_map(eval_chunk, starts, threads))
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    return grid[flips], z[flips]
+    return grid[flips], z[flips], z[flips + 1]
 
 
-def _bisect_brackets(engine: ZetaEngine, lo: np.ndarray, z_lo: np.ndarray,
-                     step: float) -> np.ndarray:
-    """Shrink every bracket [lo, lo+step] below BISECT_TOL simultaneously."""
-    lo = lo.copy()
-    hi = lo + step
-    f_lo = z_lo.copy()
-    iters = int(math.ceil(math.log2(step / BISECT_TOL)))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = engine.hardy_z_points(mid)
-        same = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
+def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
+                     f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Shrink every sign-change bracket [lo, hi] to at most ROOT_TOL wide.
+
+    Illinois rounds over the active brackets: Z is evaluated at the
+    false-position point, clamped ROOT_TOL/4 inside the bracket so a root
+    next to an end still closes it, and an end kept twice in a row has its
+    Z value halved.  A bracket leaves the active set once it is at most
+    ROOT_TOL wide or Z vanishes at its new point.  After
+    FALSE_POSITION_ROUNDS rounds the brackets still open are bisected.
+    Returns the midpoints of the final brackets.
+    """
+    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    moved = np.zeros(lo.size, dtype=np.int8)   # end the last point replaced: +1 lo, -1 hi
+    active = np.flatnonzero(hi - lo > ROOT_TOL)
+    rounds = 0
+    while active.size:
+        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
+        if rounds < FALSE_POSITION_ROUNDS:
+            x = np.clip(a - fa * (b - a) / (fb - fa), a + ROOT_TOL / 4, b - ROOT_TOL / 4)
+        else:
+            x = 0.5 * (a + b)
+        fx = engine.hardy_z_points(x)
+        rounds += 1
+        to_lo = np.sign(fx) == np.sign(fa)
+        last = moved[active]
+        f_hi[active] = np.where(to_lo, np.where(last == 1, 0.5 * fb, fb), fx)
+        f_lo[active] = np.where(to_lo, fx, np.where(last == -1, 0.5 * fa, fa))
+        lo[active] = np.where(to_lo | (fx == 0), x, a)
+        hi[active] = np.where(to_lo, b, x)
+        moved[active] = np.where(to_lo, 1, -1)
+        active = active[(hi[active] - lo[active] > ROOT_TOL) & (fx != 0)]
     return 0.5 * (lo + hi)
 
 
@@ -136,8 +159,9 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
     Scans Z from t=2 (the first zero is near 14.13; nothing lies below) with
-    step 0.05, bisects each sign change to a bracket of width <= 1e-9, and
-    re-scans once with step 0.01 if the census fails.
+    step 0.05, refines each sign change by Illinois false position to a
+    bracket of width <= 1e-9 and returns its midpoint, and re-scans once
+    with step 0.01 if the census fails.
     """
     if not (20.0 <= t_max <= 6000.0):
         raise DomainError(f"t_max={t_max} outside [20, 6000]")
@@ -157,10 +181,10 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
 
 
 def _find_pass(engine: ZetaEngine, t_max: float, step: float, threads: int) -> np.ndarray:
-    lo, z_lo = _scan_sign_changes(engine, t_max, step, threads)
+    lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, step, threads)
     if lo.size == 0:
         return np.empty(0)
-    ords = _bisect_brackets(engine, lo, z_lo, step)
+    ords = _refine_brackets(engine, lo, lo + step, z_lo, z_hi)
     return np.sort(ords[ords <= t_max])
 
 
@@ -273,8 +297,11 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     directory = cache_dir(cache)
     path = _cache_file(t_max, directory)
     if not path.exists():
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {directory}: {exc}") from exc
         table = find_zeros(t_max, engine=engine, threads=threads)
-        directory.mkdir(parents=True, exist_ok=True)
         export_zeros(table, path)
     table = import_zeros(path)
     if table.t_max != t_max or not len(table):

@@ -18,9 +18,17 @@ is built on top of that pair:
   then builds the n^{-s} matrix by a cumulative product instead of one
   exponential per entry.
 
-Both paths are cross-checked against each other in the test suite.  Error
-estimates everywhere are heuristic first-order propagation, not certified
-enclosures.
+Both paths are cross-checked against each other in the test suite.
+
+Arbitrary heights (``zeta_points``, ``zeta_derivs_points`` and everything
+on top of them: ``log_deriv_line``, ``hardy_z_points``) are banded by
+height: ``_zeta_derivs`` sorts them by |Im s| and hands them to the kernel
+in bands of ``ZetaEngine.BAND`` points, so a band of low points does not
+pay the main-sum length of the highest one.  The error bound is the
+largest band bound.
+
+Error estimates everywhere are heuristic first-order propagation, not
+certified enclosures.
 """
 
 from __future__ import annotations
@@ -169,14 +177,17 @@ def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.
 
 
 def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
-              step: float | None) -> np.ndarray:
-    """zeta^(j)(s) for j = 0..jmax over one block of complex points.
+              step: float | None) -> tuple[np.ndarray, float]:
+    """zeta^(j)(s) for j = 0..jmax over one block of complex points, plus a bound.
 
-    The main-sum length follows the block's own max |Im s|.  With ``step``
+    The main-sum length N follows the block's own max |Im s|.  With ``step``
     the points must be s[0] + i step m, and the rows of the n^{-s} matrix
     come from a cumulative product; otherwise each entry is one exponential.
+    The bound is the tail at the block's min sigma and max |t| with that N,
+    times (ln N)^jmax for the differentiated terms.
     """
-    n_len = _main_sum_length(float(np.max(np.abs(s.imag))), profile)
+    t_hi = float(np.max(np.abs(s.imag)))
+    n_len = _main_sum_length(t_hi, profile)
     logs = np.log(np.arange(1.0, n_len))
     if step is None:
         npow = np.multiply.outer(-s, logs)
@@ -187,7 +198,9 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
         npow[1:] = np.exp(-1j * step * logs)
         np.cumprod(npow, axis=0, out=npow)
     weights = np.power.outer(-logs, np.arange(jmax + 1))
-    return npow @ weights + _em_smooth_derivs(s, n_len, jmax, profile.correction_terms)
+    vals = npow @ weights + _em_smooth_derivs(s, n_len, jmax, profile.correction_terms)
+    err = _tail_bound(float(np.min(s.real)), t_hi, n_len, profile.correction_terms)
+    return vals, err * max(1.0, math.log(n_len)) ** jmax
 
 
 # --------------------------------------------------------------------------
@@ -201,8 +214,11 @@ class ZetaEngine:
     to share between threads.
     """
 
-    #: points per kernel block; bounds the block x N matrix of n^{-s}
+    #: points per kernel block of a uniform sweep; bounds the block x N
+    #: matrix of n^{-s}
     CHUNK = 4096
+    #: points per height band of an arbitrary-point evaluation
+    BAND = 256
     #: trapezoid nodes on the Cauchy circle of ``zeta_derivatives``
     circle_nodes = 64
 
@@ -213,19 +229,23 @@ class ZetaEngine:
                      step: float | None = None) -> tuple[np.ndarray, float]:
         """zeta^(j)(s) for a 1-d array of points, j <= jmax, plus one error bound.
 
-        ``step`` declares the points uniform, s[m] = s[0] + i step m.  The
-        bound is the tail at min sigma and max |t| with the main-sum length
-        of max |t|, times (ln N)^jmax for the differentiated terms.
+        ``step`` declares the points uniform, s[m] = s[0] + i step m; they go
+        to the kernel in ``CHUNK`` blocks in input order.  Arbitrary points
+        are sorted by |Im s| and go in bands of ``BAND`` points, so each band
+        sums only as far as its own heights need; the values are scattered
+        back to input order.  The bound is the largest block bound.
         """
-        if s.size == 0:
-            return np.zeros((0, jmax + 1), dtype=complex), 0.0
         out = np.empty((s.size, jmax + 1), dtype=complex)
-        for m0 in range(0, s.size, self.CHUNK):
-            out[m0:m0 + self.CHUNK] = _em_block(s[m0:m0 + self.CHUNK], jmax, profile, step)
-        t_hi = float(np.max(np.abs(s.imag)))
-        n_len = _main_sum_length(t_hi, profile)
-        err = _tail_bound(float(np.min(s.real)), t_hi, n_len, profile.correction_terms)
-        return out, err * max(1.0, math.log(n_len)) ** jmax
+        if step is None:
+            order = np.argsort(np.abs(s.imag), kind="stable")
+            blocks = [order[m0:m0 + self.BAND] for m0 in range(0, s.size, self.BAND)]
+        else:
+            blocks = [slice(m0, m0 + self.CHUNK) for m0 in range(0, s.size, self.CHUNK)]
+        err = 0.0
+        for idx in blocks:
+            out[idx], block_err = _em_block(s[idx], jmax, profile, step)
+            err = max(err, block_err)
+        return out, err
 
     # -- raw zeta at arbitrary complex points ------------------------------
 

@@ -120,6 +120,17 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error: cannot create")
 
+    def test_cache_below_a_file_fails_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr(zc, "find_zeros", lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(["ftable", "--tmax", "100", "--cache", str(blocker / "c")],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: cannot create")
+        assert out == "" and calls == []
+
     def test_console_entry_point(self):
         src = Path(zetalab.__file__).parents[1]  # importable in the child without an install
         proc = subprocess.run([sys.executable, "-m", "zetalab.cli", "--help"],

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from zetalab import accumulate, zeta_engine
+from zetalab import accumulate, zero_catalog, zeta_engine
 from zetalab import moments as mo
 from zetalab.errors import (CoverageError, DivisionError, DomainError,
                             RangeError)
@@ -222,7 +222,9 @@ class TestDiscrete:
                                          (zeta_engine, "_logs"),
                                          (zeta_engine, "_LOGN"),
                                          (ZetaEngine, "_derivs_chunk_uniform"),
-                                         (ZetaEngine, "_line_err")])
+                                         (ZetaEngine, "_line_err"),
+                                         (zero_catalog, "_bisect_brackets"),
+                                         (zero_catalog, "BISECT_TOL")])
 def test_unused_helpers_removed(module, name):
     assert not hasattr(module, name)
 

@@ -12,6 +12,7 @@ from zetalab.errors import (CoverageError, DomainError, IoError, OrderError,
                             ParseError, RangeError)
 from zetalab.zero_catalog import (ZeroTable, export_zeros, find_zeros,
                                   import_zeros, load_or_find, verify_counts)
+from zetalab.zeta_engine import ZetaEngine
 
 # first ten ordinates, published values (good to ~1e-12 here)
 REFERENCE_ZEROS = [
@@ -78,6 +79,56 @@ class TestFindZeros:
         mean_gap = float(np.mean(np.diff(window)))
         model = 2 * math.pi / math.log(1000.0 / (2 * math.pi))
         assert abs(mean_gap - model) / model < 0.15
+
+
+class TestRefinement:
+    """The contract of the bracket refinement behind `find_zeros`."""
+
+    def test_every_ordinate_sits_in_a_sign_change(self, engine, zero_source):
+        r = zero_source.table(1000.0).ordinates
+        half = 0.5 * zc.ROOT_TOL
+        z_left = engine.hardy_z_points(r - half)
+        z_right = engine.hardy_z_points(r + half)
+        assert np.all(np.sign(z_left) * np.sign(z_right) < 0)
+
+    def test_at_most_eight_points_per_bracket(self, monkeypatch):
+        engine = ZetaEngine()
+        sizes = []
+
+        def counted(ts):
+            sizes.append(np.size(ts))
+            return ZetaEngine.hardy_z_points(engine, ts)
+
+        monkeypatch.setattr(engine, "hardy_z_points", counted)
+        tab = find_zeros(200.0, engine=engine)
+        assert len(tab) == 79
+        # every call is one round, so no bracket gets more points than calls
+        assert len(sizes) <= 8
+        assert sum(sizes) <= 8 * len(tab)
+
+    def test_bisection_fallback_agrees(self, engine, table100, monkeypatch):
+        monkeypatch.setattr(zc, "FALSE_POSITION_ROUNDS", 0)
+        bisected = find_zeros(100.0, engine=engine)
+        assert np.max(np.abs(bisected.ordinates - table100.ordinates)) <= zc.ROOT_TOL
+
+
+class TestMpmathOracle:
+    """Ordinates and Hardy Z above t = 120 against mpmath."""
+
+    @pytest.mark.parametrize("n", [30, 120, 300, 500, 649])
+    def test_zetazero(self, n, zero_source):
+        mpmath = pytest.importorskip("mpmath")
+        got = zero_source.table(1000.0).ordinates[n - 1]
+        with mpmath.workdps(25):
+            ref = float(mpmath.zetazero(n).imag)
+        assert abs(got - ref) <= zc.DEFAULT_PRECISION
+
+    @pytest.mark.parametrize("t", [130.5, 777.7, 1500.25, 3210.9, 4999.1, 5999.3])
+    def test_hardy_z_against_siegelz(self, t, engine):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(25):
+            ref = float(mpmath.siegelz(t))
+        assert abs(engine.hardy_z(t) - ref) <= 1e-10
 
 
 class TestVerifyCounts:

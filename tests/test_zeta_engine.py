@@ -135,6 +135,19 @@ class TestKernel:
             for i in rng.choice(np.arange(lo, hi), 8, replace=False):
                 assert abs(vals[i] - engine.zeta(s[i]).value) <= err
 
+    def test_height_bands_match_single_points(self, engine):
+        """Unsorted heights over several bands come back in input order."""
+        rng = np.random.default_rng(12)
+        band = ZetaEngine.BAND
+        t = rng.uniform(-6000.0, 6000.0, 2 * band + 90)
+        s = rng.choice([0.5, 0.9], t.size) + 1j * t
+        vals, err = engine._zeta_derivs(s, 0, engine.profile)
+        single = np.array([engine.zeta(z).value for z in s])
+        assert np.all(np.abs(vals[:, 0] - single) <= err)
+        top = s[np.argsort(np.abs(t))[-(t.size % band or band):]]   # holds max |t|
+        _, top_err = engine._zeta_derivs(top, 0, engine.profile)
+        assert err >= top_err
+
     def test_empty_input(self, engine):
         vals, err = engine.zeta_points(np.array([], dtype=complex))
         assert vals.shape == (0,) and err == 0.0
