@@ -4,28 +4,27 @@ The backend is Euler-Maclaurin summation: the Dirichlet main sum of length
 N, the two boundary terms, and R Bernoulli correction terms, with the tail
 bounded through the first omitted correction term.  One block kernel,
 ``_em_block``, evaluates zeta^(j)(s) = sum_n n^{-s} (-ln n)^j plus the
-differentiated smooth part for up to ``ZetaEngine.CHUNK`` points at once,
-and ``ZetaEngine._zeta_derivs`` feeds it block by block.  Everything else
-is built on top of that pair:
+differentiated smooth part for a block of points, with per-order
+truncation and rounding bounds, and every public operation is built on it:
 
-* single points: ``zeta_derivatives`` obtains zeta^(j) from Cauchy's
-  integral formula on a circle around s (trapezoid rule on the kernel's
-  values at the circle nodes, spectrally accurate);
+* single points: ``zeta_derivatives`` and ``log_derivative_k`` take the
+  derivative columns of a block of one point, summed with the fixed profile
+  ``ZetaEngine.SINGLE`` so that every order up to j = 9 stays below the
+  1e-8 target up to t = 6000, and carry each column's own bound through
+  the log-derivative recursion;
 * bulk sweeps along a vertical line: ``zeta_derivs_uniform``/``_points``
-  ask the kernel for the derivative columns directly, which vectorizes
-  over thousands of heights at once and is the only affordable option for
-  the moment quadratures.  Uniform sweeps pass their step, and the kernel
-  then builds the n^{-s} matrix by a cumulative product instead of one
-  exponential per entry.
-
-Both paths are cross-checked against each other in the test suite.
+  feed the kernel block by block through ``ZetaEngine._zeta_derivs``,
+  which vectorizes over thousands of heights at once and is the only
+  affordable option for the moment quadratures.  Uniform sweeps pass their
+  step, and the kernel then builds the n^{-s} matrix by a cumulative
+  product instead of one exponential per entry.
 
 Arbitrary heights (``zeta_points``, ``zeta_derivs_points`` and everything
 on top of them: ``log_deriv_line``, ``hardy_z_points``) are banded by
 height: ``_zeta_derivs`` sorts them by |Im s| and hands them to the kernel
 in bands of ``ZetaEngine.BAND`` points, so a band of low points does not
-pay the main-sum length of the highest one.  The error bound is the
-largest band bound.
+pay the main-sum length of the highest one.  The bulk error bound is the
+largest band's truncation bound at the top order.
 
 Error estimates everywhere are heuristic first-order propagation, not
 certified enclosures.
@@ -41,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as _poly
 from scipy.special import bernoulli as _bernoulli
-from scipy.special import iv as _bessel_iv
 from scipy.special import loggamma as _loggamma
 
 from .errors import DomainError, NearZeroError, PrecisionError
@@ -130,10 +128,16 @@ def _main_sum_length(t_abs: float, profile: EmProfile) -> int:
     return max(32, math.ceil(profile.sum_multiplier * t_abs / TWO_PI) + 16)
 
 
+@lru_cache(maxsize=None)
+def _log_tail_constant(r_terms: int) -> float:
+    """ln |B_{2R+2}| - ln (2R+2)!, the constant of the first omitted term."""
+    b = _bernoulli(2 * r_terms + 2)
+    return math.log(abs(float(b[-1]))) - math.lgamma(2 * r_terms + 3)
+
+
 def _tail_bound(sigma_min: float, t_abs: float, n_len: int, r_terms: int) -> float:
     """First omitted Euler-Maclaurin term times the standard majorant ratio."""
-    b = _bernoulli(2 * r_terms + 2)
-    log_term = math.log(abs(float(b[-1]))) - math.lgamma(2 * r_terms + 3)
+    log_term = _log_tail_constant(r_terms)
     for i in range(2 * r_terms + 1):
         log_term += 0.5 * math.log((sigma_min + i) ** 2 + t_abs * t_abs)
     log_term -= (sigma_min + 2 * r_terms + 1) * math.log(n_len)
@@ -177,16 +181,20 @@ def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.
 
 
 def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
-              step: float | None) -> tuple[np.ndarray, float]:
-    """zeta^(j)(s) for j = 0..jmax over one block of complex points, plus a bound.
+              step: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """zeta^(j)(s) for j = 0..jmax over one block of complex points, plus bounds.
 
     The main-sum length N follows the block's own max |Im s|.  With ``step``
     the points must be s[0] + i step m, and the rows of the n^{-s} matrix
     come from a cumulative product; otherwise each entry is one exponential.
-    The bound is the tail at the block's min sigma and max |t| with that N,
-    times (ln N)^jmax for the differentiated terms.
+    Two per-order bounds come back, both at the block's min sigma and max
+    |t|: the truncation bound, the tail with that N times max(1, ln N)^j for
+    the differentiated terms, and the float64 rounding estimate
+    eps (1 + |t| ln N) ||n^{-sigma} (ln n)^j||_2 over n < N, which is the
+    rounding of the phase t ln n of n^{-s} carried through the main sum.
     """
     t_hi = float(np.max(np.abs(s.imag)))
+    sigma_lo = float(np.min(s.real))
     n_len = _main_sum_length(t_hi, profile)
     logs = np.log(np.arange(1.0, n_len))
     if step is None:
@@ -197,10 +205,17 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
         npow[0] = np.exp(-s[0] * logs)
         npow[1:] = np.exp(-1j * step * logs)
         np.cumprod(npow, axis=0, out=npow)
-    weights = np.power.outer(-logs, np.arange(jmax + 1))
+    weights = np.empty((n_len - 1, jmax + 1))
+    weights[:, 0] = 1.0
+    for j in range(1, jmax + 1):
+        np.multiply(weights[:, j - 1], -logs, out=weights[:, j])
     vals = npow @ weights + _em_smooth_derivs(s, n_len, jmax, profile.correction_terms)
-    err = _tail_bound(float(np.min(s.real)), t_hi, n_len, profile.correction_terms)
-    return vals, err * max(1.0, math.log(n_len)) ** jmax
+    tail = _tail_bound(sigma_lo, t_hi, n_len, profile.correction_terms)
+    ln_n = math.log(n_len)
+    trunc = np.array([tail * max(1.0, ln_n) ** j for j in range(jmax + 1)])
+    rounding = (np.finfo(float).eps * (1.0 + t_hi * ln_n)
+                * np.sqrt(np.exp(-2.0 * sigma_lo * logs) @ weights ** 2))
+    return vals, trunc, rounding
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +234,11 @@ class ZetaEngine:
     CHUNK = 4096
     #: points per height band of an arbitrary-point evaluation
     BAND = 256
-    #: trapezoid nodes on the Cauchy circle of ``zeta_derivatives``
+    #: Euler-Maclaurin profile of the single-point operations: keeps the
+    #: truncation bound of every order j <= 9 below 1e-8 up to t = 6000
+    SINGLE = EmProfile(3.3, 16)
+    #: unused by the engine; the node count of the Cauchy circle that single
+    #: points once took, still read by the term counter of perfbench/layers.py
     circle_nodes = 64
 
     def __init__(self, profile: EmProfile = STRICT):
@@ -233,7 +252,8 @@ class ZetaEngine:
         to the kernel in ``CHUNK`` blocks in input order.  Arbitrary points
         are sorted by |Im s| and go in bands of ``BAND`` points, so each band
         sums only as far as its own heights need; the values are scattered
-        back to input order.  The bound is the largest block bound.
+        back to input order.  The bound is the largest block truncation bound
+        at the top order jmax.
         """
         out = np.empty((s.size, jmax + 1), dtype=complex)
         if step is None:
@@ -243,8 +263,8 @@ class ZetaEngine:
             blocks = [slice(m0, m0 + self.CHUNK) for m0 in range(0, s.size, self.CHUNK)]
         err = 0.0
         for idx in blocks:
-            out[idx], block_err = _em_block(s[idx], jmax, profile, step)
-            err = max(err, block_err)
+            out[idx], trunc, _ = _em_block(s[idx], jmax, profile, step)
+            err = max(err, trunc[-1])
         return out, err
 
     # -- raw zeta at arbitrary complex points ------------------------------
@@ -274,11 +294,14 @@ class ZetaEngine:
     # -- log-derivative recursion ------------------------------------------
 
     @staticmethod
-    def _log_deriv_recursion(z: np.ndarray, kmax: int) -> np.ndarray:
+    def _log_deriv_recursion(z: np.ndarray, kmax: int, err: np.ndarray | None = None
+                             ) -> tuple[np.ndarray, np.ndarray | None]:
         """(zeta'/zeta)^(m) for m = 0..kmax from zeta^(0..kmax+1) columns.
 
         With g = log zeta, g^(n) = [zeta^(n) - sum_{j<=n-2} C(n-1,j)
         g^(j+1) zeta^(n-1-j)] / zeta, and (zeta'/zeta)^(m) = g^(m+1).
+        Given absolute error columns ``err`` of z, the second item carries
+        them through the same recursion to first order; otherwise it is None.
         """
         z0 = z[..., 0]
         if np.any(np.abs(z0) <= 1e-12):
@@ -290,109 +313,92 @@ class ZetaEngine:
             for j in range(0, n - 1):
                 acc -= math.comb(n - 1, j) * g[j + 1] * z[..., n - 1 - j]
             g[n] = acc / z0
-        return np.stack([g[m + 1] for m in range(kmax + 1)], axis=-1)
+        vals = np.stack(g[1:], axis=-1)
+        if err is None:
+            return vals, None
+        az, ag = np.abs(z), np.abs(vals)
+        ge = np.empty(vals.shape)
+        for n in range(1, kmax + 2):
+            acc_err = err[..., n] + ag[..., n - 1] * err[..., 0]
+            for j in range(0, n - 1):
+                acc_err += math.comb(n - 1, j) * (ag[..., j] * err[..., n - 1 - j]
+                                                  + ge[..., j] * az[..., n - 1 - j])
+            ge[..., n - 1] = acc_err / az[..., 0]
+        return vals, ge
 
     def log_deriv_line(self, sigma: float, ts: np.ndarray, kmax: int) -> tuple[np.ndarray, float]:
         """(zeta'/zeta)^(m)(sigma + i t) for m = 0..kmax over an array of t."""
         if sigma <= 0.5:
             raise DomainError("log-derivative requires sigma > 1/2")
         z, err = self.zeta_derivs_points(sigma, ts, kmax + 1)
-        return self._log_deriv_recursion(z, kmax), err
+        return self._log_deriv_recursion(z, kmax)[0], err
 
     def log_deriv_uniform(self, sigma: float, t0: float, step: float,
                           count: int, kmax: int) -> tuple[np.ndarray, float]:
         if sigma <= 0.5:
             raise DomainError("log-derivative requires sigma > 1/2")
         z, err = self.zeta_derivs_uniform(sigma, t0, step, count, kmax + 1)
-        return self._log_deriv_recursion(z, kmax), err
+        return self._log_deriv_recursion(z, kmax)[0], err
 
     # -- public single-point operations ------------------------------------
+
+    def _single_point(self, p: EvalPoint, jmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """zeta^(j)(s), j <= jmax, from one ``SINGLE`` block, with per-entry errors.
+
+        The error of entry j is its truncation bound plus its rounding
+        estimate; only the truncation bound is gated, because no
+        Euler-Maclaurin setting removes the rounding.
+        """
+        if not (0 <= jmax <= 12):
+            raise DomainError(f"jmax={jmax} outside [0, 12]")
+        s = p.s
+        if abs(s - 1.0) < 2e-3:
+            raise DomainError("s within 2e-3 of the pole s = 1")
+        vals, trunc, rounding = _em_block(np.array([s]), jmax, self.SINGLE, None)
+        if trunc[-1] > _TARGET_ABS_ERROR:
+            raise PrecisionError(
+                f"zeta^({jmax})({s}) truncation bound {trunc[-1]:.2e} exceeds 1e-8")
+        return vals[0], trunc + rounding
 
     def zeta_derivatives(self, p: EvalPoint, jmax: int) -> list[ComplexEval]:
         """zeta^(j)(s) for j = 0..jmax with per-entry error estimates.
 
-        Entry 0 comes straight from Euler-Maclaurin; entries j >= 1 from the
-        Cauchy integral formula on a circle of radius min(0.45, |s-1|/2),
-        trapezoid rule with ``circle_nodes`` nodes.  Raises PrecisionError
-        when an entry cannot be certified below 1e-8 absolute.
+        All entries are the derivative columns of one Euler-Maclaurin block
+        summed with the fixed profile ``SINGLE``, whatever the engine's own
+        profile.  Entry j's ``abs_error`` is the truncation bound
+        tail * max(1, ln N)^j plus the float64 rounding estimate
+        eps (1 + |t| ln N) ||n^{-sigma} (ln n)^j||_2.  PrecisionError is
+        raised when the truncation bound of the top order exceeds 1e-8; the
+        rounding part is reported but not gated, since no Euler-Maclaurin
+        setting removes it.  Points within 2e-3 of the pole are refused.
         """
         if not isinstance(p, EvalPoint):
             p = EvalPoint(*p)
-        if not (0 <= jmax <= 12):
-            raise DomainError(f"jmax={jmax} outside [0, 12]")
-        s = p.s
-        v0, e0 = self.zeta_points(np.array([s]))
-        if e0 > _TARGET_ABS_ERROR:
-            raise PrecisionError(f"zeta(s) error bound {e0:.2e} exceeds 1e-8 at {s}")
-        result = [ComplexEval(complex(v0[0]), e0)]
-        if jmax == 0:
-            return result
-        radius = min(0.45, abs(s - 1.0) / 2.0)
-        if radius < 1e-3:
-            raise DomainError("derivative contour would collapse against s = 1")
-        m_nodes = self.circle_nodes
-        nodes = s + radius * np.exp(2j * np.pi * np.arange(m_nodes) / m_nodes)
-        # the circle dips left of sigma where the tail terms grow, and the
-        # j! / r^j factor amplifies every sample error; boost the budget
-        boosted = EmProfile(self.profile.sum_multiplier + 0.8,
-                            self.profile.correction_terms + 2)
-        fv, fe = self._zeta_derivs(nodes, 0, boosted)
-        fv = fv[:, 0]
-        coeff = np.fft.fft(fv) / m_nodes          # coeff[j] ~ a_j r^j
-        tail = float(np.max(np.abs(coeff[m_nodes - 4:])))
-        bessel_arg = radius * math.log(_main_sum_length(abs(p.t) + radius, boosted))
-        i0 = float(_bessel_iv(0, bessel_arg))
-        for j in range(1, jmax + 1):
-            fact = math.factorial(j)
-            val = fact * complex(coeff[j]) / radius ** j
-            smooth_err = fe * float(_bessel_iv(min(j, 50), bessel_arg)) / i0
-            err = fact / radius ** j * (tail + smooth_err)
-            if err > _TARGET_ABS_ERROR:
-                raise PrecisionError(
-                    f"zeta^({j})({s}) error estimate {err:.2e} exceeds 1e-8")
-            result.append(ComplexEval(val, err))
-        return result
+        vals, errs = self._single_point(p, jmax)
+        return [ComplexEval(complex(v), float(e)) for v, e in zip(vals, errs)]
 
     def log_derivative_k(self, p: EvalPoint, k: int) -> ComplexEval:
         """(zeta'/zeta)^(k)(s) via the logarithmic-derivative recursion.
 
         Never computed by contour integration of zeta'/zeta itself: the
         recursion stays correct arbitrarily close to the critical line where
-        a contour would cross zeros.
+        a contour would cross zeros.  The per-entry errors of
+        :meth:`zeta_derivatives` go through the same recursion.
         """
         if not isinstance(p, EvalPoint):
             p = EvalPoint(*p)
         if not (0 <= k <= 8):
             raise DomainError(f"k={k} outside [0, 8]")
-        if p.sigma <= 0.5:
-            raise DomainError("log-derivative requires sigma > 1/2")
-        derivs = self.zeta_derivatives(p, k + 1)
-        z = [d.value for d in derivs]
-        e = [d.abs_error for d in derivs]
-        if abs(z[0]) <= 1e-12:
-            raise NearZeroError(f"|zeta({p.s})| <= 1e-12")
-        az0 = abs(z[0])
-        g: list[complex] = [0j] * (k + 2)
-        ge: list[float] = [0.0] * (k + 2)
-        g[1] = z[1] / z[0]
-        ge[1] = (e[1] + abs(g[1]) * e[0]) / az0
-        for n in range(2, k + 2):
-            acc = z[n]
-            acc_err = e[n]
-            for j in range(0, n - 1):
-                c = math.comb(n - 1, j)
-                acc -= c * g[j + 1] * z[n - 1 - j]
-                acc_err += c * (abs(g[j + 1]) * e[n - 1 - j] + ge[j + 1] * abs(z[n - 1 - j]))
-            g[n] = acc / z[0]
-            ge[n] = (acc_err + abs(g[n]) * e[0]) / az0
-        value = g[k + 1]
+        z, err = self._single_point(p, k + 1)
+        vals, errs = self._log_deriv_recursion(z, k, err)
+        value = complex(vals[k])
         if abs(p.t) >= 2.0:
             bound = LOG_DERIV_BOUND_C * math.log(abs(p.t)) / (p.sigma - 0.5) ** (k + 1)
             if abs(value) > bound:
                 raise PrecisionError(
                     f"|log-derivative|={abs(value):.3e} violates the magnitude "
                     f"bound {bound:.3e}; evaluation is suspect")
-        return ComplexEval(value, ge[k + 1])
+        return ComplexEval(value, float(errs[k]))
 
     # -- Hardy Z -------------------------------------------------------------
 

@@ -148,3 +148,23 @@ def em_smooth_part_derivs(s: complex, n_len: int, jmax: int, r_terms: int,
 
         z0 = mpmath.mpc(s.real, s.imag)
         return [complex(mpmath.diff(smooth, z0, j)) for j in range(jmax + 1)]
+
+
+def mp_zeta_and_log_derivs(s: complex, jmax: int, dps: int = 20
+                           ) -> tuple[list[complex], list[complex]]:
+    """zeta^(j)(s), j = 0..jmax, from ``mpmath.zeta``, and (zeta'/zeta)^(k),
+    k = 0..jmax-1, from them by the log-derivative recursion at ``dps``
+    digits.  Needs mpmath, which callers gate with ``pytest.importorskip``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z0 = mpmath.mpc(s.real, s.imag)
+        z = [mpmath.zeta(z0, 1, j) for j in range(jmax + 1)]
+        g = [None] * (jmax + 1)
+        for n in range(1, jmax + 1):
+            acc = z[n]
+            for j in range(n - 1):
+                acc -= mpmath.binomial(n - 1, j) * g[j + 1] * z[n - 1 - j]
+            g[n] = acc / z[0]
+        return [complex(v) for v in z], [complex(v) for v in g[1:]]

@@ -224,7 +224,8 @@ class TestDiscrete:
                                          (ZetaEngine, "_derivs_chunk_uniform"),
                                          (ZetaEngine, "_line_err"),
                                          (zero_catalog, "_bisect_brackets"),
-                                         (zero_catalog, "BISECT_TOL")])
+                                         (zero_catalog, "BISECT_TOL"),
+                                         (zeta_engine, "_bessel_iv")])
 def test_unused_helpers_removed(module, name):
     assert not hasattr(module, name)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from zetalab.errors import DomainError, NearZeroError
+from zetalab.errors import DomainError, NearZeroError, PrecisionError
 from zetalab.zeta_engine import (ComplexEval, EvalPoint, ZetaEngine,
                                  _em_smooth_derivs, riemann_siegel_theta)
 
@@ -208,6 +208,98 @@ class TestLogDerivative:
         z = np.array([[1e-13 + 0j, 1.0 + 0j]])
         with pytest.raises(NearZeroError):
             engine._log_deriv_recursion(z, 0)
+
+
+@pytest.fixture(scope="module")
+def mp_reference():
+    """mpmath zeta^(j), j <= 9, and (zeta'/zeta)^(k), k <= 8, at seeded points.
+
+    24 points over sigma in [0.505, 2], t in [10, 6000], plus the two that
+    sit closest to the single-point bounds: (0.52, 5990), where k = 4 was
+    refused before the single points got their own profile, and
+    (0.55, 5000), where the STRICT truncation bound of zeta^(4) is 2.9e-7.
+    """
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2026)
+    points = list(zip(rng.uniform(0.505, 2.0, 24), rng.uniform(10.0, 6000.0, 24)))
+    points += [(0.52, 5990.0), (0.55, 5000.0)]
+    return [(sigma, t, *oracles.mp_zeta_and_log_derivs(complex(sigma, t), 9))
+            for sigma, t in points]
+
+
+def _single_point_pairs(engine, reference):
+    """(engine value, mpmath value) for every zeta^(j) and returned log-derivative."""
+    pairs = []
+    for sigma, t, zetas, logs in reference:
+        p = EvalPoint(sigma, t)
+        pairs += zip(engine.zeta_derivatives(p, 9), zetas)
+        for k, ref in enumerate(logs):
+            try:
+                pairs.append((engine.log_derivative_k(p, k), ref))
+            except PrecisionError as exc:
+                # the magnitude guard has no k! and refuses large k at
+                # sigma well above 1/2; the truncation gate never fires here
+                assert "magnitude" in str(exc)
+    return pairs
+
+
+class TestSinglePoint:
+    def test_errors_bound_the_mpmath_gap(self, engine, mp_reference):
+        pairs = _single_point_pairs(engine, mp_reference)
+        worst = max(abs(got.value - ref) / got.abs_error for got, ref in pairs)
+        assert worst <= 1.0
+        print(f"\nworst |diff| / abs_error over {len(pairs)} values: {worst:.3f}")
+
+    def test_relative_error_against_mpmath(self, engine, mp_reference):
+        pairs = _single_point_pairs(engine, mp_reference)
+        assert max(abs(got.value - ref) / abs(ref) for got, ref in pairs) <= 1e-9
+
+    def test_points_domain_raises_nothing(self, engine):
+        rng = np.random.default_rng(17)
+        for sigma, t, k in zip(rng.uniform(0.52, 2.0, 200), rng.uniform(10.0, 6000.0, 200),
+                               rng.integers(0, 4, 200)):
+            got = engine.log_derivative_k(EvalPoint(sigma, t), int(k))
+            assert got.abs_error < 1e-8 * max(1.0, abs(got.value))
+
+    def test_k4_near_the_line_at_the_top_height(self, engine):
+        got = engine.log_derivative_k(EvalPoint(0.52, 5990.0), 4)
+        assert got.abs_error < 1e-8 * abs(got.value)
+
+    def test_profile_does_not_follow_the_engine(self, engine, engine_fast):
+        p = EvalPoint(0.6, 3000.0)
+        assert engine.zeta_derivatives(p, 3) == engine_fast.zeta_derivatives(p, 3)
+
+    def test_recursion_errors_match_scalar_loop(self, engine):
+        """The vectorized error propagation against a plain per-point loop."""
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(20, 10)) + 1j * rng.normal(size=(20, 10))
+        err = rng.uniform(1e-12, 1e-9, size=z.shape)
+        vals, g_err = engine._log_deriv_recursion(z, 8, err)
+        for row, e, want_vals, want_err in zip(z, err, vals, g_err):
+            g, ge = [0j] * 10, [0.0] * 10
+            for n in range(1, 10):
+                acc, acc_err = row[n], e[n]
+                for j in range(n - 1):
+                    c = math.comb(n - 1, j)
+                    acc -= c * g[j + 1] * row[n - 1 - j]
+                    acc_err += c * (abs(g[j + 1]) * e[n - 1 - j] + ge[j + 1] * abs(row[n - 1 - j]))
+                g[n] = acc / row[0]
+                ge[n] = (acc_err + abs(g[n]) * e[0]) / abs(row[0])
+            assert np.allclose(want_vals, g[1:], rtol=1e-13, atol=0.0)
+            assert np.allclose(want_err, ge[1:], rtol=1e-13, atol=0.0)
+
+    def test_recursion_errors_bound_perturbations(self, engine):
+        """First-order propagation covers perturbations of z within err."""
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
+        err = 1e-9 * np.abs(z)
+        vals, none = engine._log_deriv_recursion(z, 4)
+        same, g_err = engine._log_deriv_recursion(z, 4, err)
+        assert none is None and np.array_equal(vals, same)
+        for _ in range(20):
+            phase = np.exp(2j * np.pi * rng.uniform(size=z.shape))
+            moved, _ = engine._log_deriv_recursion(z + err * phase, 4)
+            assert np.all(np.abs(moved - vals) <= g_err * (1.0 + 1e-6))
 
 
 class TestTheta:
