@@ -73,7 +73,7 @@ def _table(args):
 
 
 def _grid(args, table):
-    return pc.f_grid(table, args.tmax, args.alpha_max, args.step, threads=args.threads)
+    return pc.f_grid(table, args.tmax, args.alpha_max, args.step)
 
 
 def _quadratures(ks, a_list, t, table):
@@ -134,11 +134,7 @@ def _identity(ks):
 
 def cmd_zeros(args) -> int:
     """Compute a table through the cache, or import one; write it only to --out."""
-    if args.import_path:
-        table = zc.import_zeros(args.import_path)
-    else:
-        table = zc.load_or_find(args.tmax, cache=args.cache,
-                                engine=ZetaEngine(STRICT), threads=args.threads)
+    table = zc.import_zeros(args.import_path) if args.import_path else _table(args)
     report = zc.verify_counts(table)
     print(f"{len(table)} zeros, RvM expected {report.expected:.2f}, "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Riemann zeta function.")
     zero_table = argparse.ArgumentParser(add_help=False)
     zero_table.add_argument("--threads", type=int, default=1,
-                            help="worker cap for parallel sections (default 1)")
+                            help="worker cap for the zero scan (default 1)")
     zero_table.add_argument("--cache", help="zero-table cache directory "
                                             "(default $ZETALAB_CACHE or ./zetalab-cache)")
     tmax = argparse.ArgumentParser(add_help=False)

@@ -6,11 +6,11 @@ t in [1, T].  It is computed
 * by a uniform trapezoid sweep with Gregory end corrections against the
   Euler-Maclaurin engine (``i_k_quadrature``) -- the ground truth;
 * from the zero-pair sum with the Poisson-kernel derivative
-  (``i_k_from_zeros``);
+  (``i_k_from_zeros``, one ``pair_correlation.pair_sum`` call);
 * from the sampled pair-correlation function (``i_k_from_f``).
 
-D_k(a,T) sums (zeta'/zeta)^(2k) right of each zero (``d_k``), and
-``farmer_ratio`` compares I_k(a,T) against 2 pi D_k(2a,T).
+D_k(a,T) sums (zeta'/zeta)^(2k) right of each zero (``d_k``); ``_ratio_of``
+forms I_k(a,T) / (2 pi D_k(2a,T)) for the CLI's discrete table.
 
 The quadrature never touches the zero-sum representation of the
 log-derivative, so the quadrature/zero-pair comparison is a genuine
@@ -31,7 +31,7 @@ from scipy.special import gammaincc
 from .accumulate import exact_sum
 from .errors import (DivisionError, DomainError, PrecisionError, RangeError)
 from .kernels import KernelSpec, kernel_eval
-from .pair_correlation import FGrid, _pair_data
+from .pair_correlation import FGrid, pair_sum
 from .zero_catalog import ZeroTable
 from .zeta_engine import FAST, STRICT, TWO_PI, ZetaEngine
 
@@ -196,13 +196,9 @@ def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstima
     constant, reported alongside rather than added to the value.
     """
     _check_envelope(k, a, t)
-    zeros.require_coverage(t)
-    n, diffs, weights = _pair_data(zeros, t)
     log_t = math.log(t)
     spec = KernelSpec("h", a / math.pi, 2 * k)
-    total = n * kernel_eval(spec, 0.0)  # diagonal; w(0) = 1
-    if diffs.size:
-        total += 2.0 * float(np.dot(weights, kernel_eval(spec, diffs * (log_t / TWO_PI))))
+    total = pair_sum(zeros, t, lambda d: kernel_eval(spec, d * (log_t / TWO_PI)))
     pref = (-1.0) ** k / (2.0 ** (2 * k) * math.pi ** (2 * k)) * log_t ** (2 * k + 1)
     value = pref * total
     err = (t * log_t ** (2 * k + 1) / a ** (2 * k - 1)
@@ -276,11 +272,3 @@ def _ratio_of(i_est: MomentEstimate, d_est: MomentEstimate) -> float:
             f"2 pi D_k = {denom:.3e} indistinguishable from zero "
             f"(err {TWO_PI * d_est.err_estimate:.3e})")
     return i_est.value / denom
-
-
-def farmer_ratio(k: int, a: float, t: float, zeros: ZeroTable,
-                 engine: ZetaEngine) -> float:
-    """I_k(a,T) / (2 pi D_k(2a,T)); near 1 when the discrete relation holds."""
-    i_est = i_k_quadrature(k, a, t, engine, zeros)
-    d_est = d_k(k, 2.0 * a, t, zeros, engine)
-    return _ratio_of(i_est, d_est)

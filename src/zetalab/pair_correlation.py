@@ -1,11 +1,14 @@
 """Pair statistics of the zero ordinates: F(alpha,T), pair counts, GUE.
 
 F(alpha,T) = (2 pi / (T log T)) * sum_{0<g,g'<=T} T^{i alpha (g-g')} w(g-g')
-with w(u) = 4/(4+u^2).  The double sum is folded onto ordered pairs with
-positive difference (the summand is conjugate-symmetric, so F is real and
-even in alpha) and truncated at |g-g'| > cutoff where the weight makes the
-remainder negligible; the brute-force oracle in the tests validates the
-truncation.
+with w(u) = 4/(4+u^2).  Every weighted double sum over zero pairs goes
+through ``pair_sum``: it folds the sum onto ordered pairs with positive
+difference (the kernels are even, so each such pair counts twice beside
+the n diagonal terms) and truncates at |g-g'| > cutoff, where the weight
+makes the remainder negligible; the brute-force oracle in the tests
+validates the truncation.  ``f_alpha`` is that sum with a cosine kernel;
+``f_grid`` samples the same sum on a uniform alpha grid by advancing each
+pair's phase with one complex multiply per sample.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .accumulate import exact_sum, parallel_map
+from .accumulate import exact_sum
 from .errors import DomainError, RangeError
 from .zero_catalog import ZeroTable
 
@@ -66,26 +69,24 @@ class FGrid:
 
 
 def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """(zero count, positive pair differences within cutoff, their weights).
-
-    Cached on the (immutable) table, keyed by T.
-    """
-    key = ("pairs", float(t))
-    hit = zeros._pair_cache.get(key)
-    if hit is not None:
-        return hit
+    """(zero count, positive pair differences within cutoff, their weights)."""
+    zeros.require_coverage(t)
     g = zeros.ordinates[zeros.ordinates <= t]
-    n = g.size
-    cutoff = pair_cutoff(t)
-    lo = np.searchsorted(g, g - cutoff, side="left")
-    blocks = []
-    for i in range(n):
-        if lo[i] < i:
-            blocks.append(g[i] - g[lo[i]:i])
+    lo = np.searchsorted(g, g - pair_cutoff(t), side="left")
+    blocks = [g[i] - g[lo[i]:i] for i in range(g.size) if lo[i] < i]
     diffs = np.concatenate(blocks) if blocks else np.empty(0)
-    weights = pair_weight(diffs)
-    zeros._pair_cache[key] = (n, diffs, weights)
-    return n, diffs, weights
+    return g.size, diffs, pair_weight(diffs)
+
+
+def pair_sum(zeros: ZeroTable, t: float, kernel) -> float:
+    """sum_{0<g,g'<=T} kernel(g-g') w(g-g') for an even kernel of the difference.
+
+    `kernel` maps an array of differences to an array of values; the
+    diagonal contributes n * kernel(0) (w(0) = 1) and each positive
+    difference within the cutoff counts twice.
+    """
+    n, diffs, weights = _pair_data(zeros, t)
+    return n * float(kernel(0.0)) + 2.0 * float(np.dot(weights, kernel(diffs)))
 
 
 def f_alpha(zeros: ZeroTable, t: float, alpha: float) -> float:
@@ -94,17 +95,18 @@ def f_alpha(zeros: ZeroTable, t: float, alpha: float) -> float:
         raise DomainError("f_alpha requires T >= 50")
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
-    zeros.require_coverage(t)
-    n, diffs, weights = _pair_data(zeros, t)
     log_t = math.log(t)
-    # diagonal (g = g') contributes n * w(0); each off-diagonal pair twice
-    off = 2.0 * float(np.dot(weights, np.cos(alpha * log_t * diffs)))
-    return (2.0 * math.pi / (t * log_t)) * (n + off)
+    return (2.0 * math.pi / (t * log_t)) * pair_sum(
+        zeros, t, lambda d: np.cos(alpha * log_t * d))
 
 
-def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float,
-           threads: int = 1) -> FGrid:
-    """Sample F on {0, step, ..., alpha_max}."""
+def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float) -> FGrid:
+    """Sample F on {0, step, ..., alpha_max}.
+
+    The grid is uniform, so each pair's phase e^{i alpha log T d} advances
+    by the fixed factor e^{i step log T d} from one sample to the next: a
+    sample costs one complex multiply and one dot product per pair.
+    """
     if step <= 0:
         raise DomainError("step must be positive")
     if alpha_max > 8.0:
@@ -114,20 +116,19 @@ def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float,
     if alpha_max / step > MAX_ALPHAS:
         raise DomainError(
             f"alpha_max/step = {alpha_max / step:.3g} exceeds {MAX_ALPHAS} samples")
-    zeros.require_coverage(t)
     count = int(round(alpha_max / step)) + 1
     alphas = step * np.arange(count)
     if alphas.size and alphas[-1] > alpha_max + 1e-12:
         alphas = alphas[alphas <= alpha_max + 1e-12]
     n, diffs, weights = _pair_data(zeros, t)
     log_t = math.log(t)
-    pref = 2.0 * math.pi / (t * log_t)
-
-    def one(alpha: float) -> float:
-        off = 2.0 * float(np.dot(weights, np.cos(alpha * log_t * diffs)))
-        return pref * (n + off)
-
-    values = np.array(parallel_map(one, list(alphas), threads))
+    phase = np.ones(diffs.size, dtype=complex)
+    turn = np.exp(1j * (step * log_t) * diffs)
+    off = np.empty(alphas.size)
+    for i in range(alphas.size):
+        off[i] = np.dot(weights, phase.real)
+        phase *= turn
+    values = (2.0 * math.pi / (t * log_t)) * (n + 2.0 * off)
     return FGrid(t, alphas, values)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ class ZeroTable:
     t_max: float
     source: str = "computed"
     precision: float = DEFAULT_PRECISION
-    _pair_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.ordinates, dtype=float)

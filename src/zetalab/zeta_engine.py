@@ -46,8 +46,10 @@ from .errors import DomainError, NearZeroError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest magnitude a log-derivative may legally reach: C * log t / (sigma-1/2)^(k+1)
+# Largest magnitude a log-derivative may legally reach: C * k! * log t / (sigma-1/2)^(k+1)
 # with a deliberately generous constant; exceeding it signals a broken evaluation.
+# The k! follows the Dirichlet series (-1)^(k+1) sum Lambda(n) (log n)^k n^(-s),
+# whose size is k! / (sigma-1)^(k+1) as sigma -> 1+.
 LOG_DERIV_BOUND_C = 50.0
 
 _TARGET_ABS_ERROR = 1e-8
@@ -393,7 +395,8 @@ class ZetaEngine:
         vals, errs = self._log_deriv_recursion(z, k, err)
         value = complex(vals[k])
         if abs(p.t) >= 2.0:
-            bound = LOG_DERIV_BOUND_C * math.log(abs(p.t)) / (p.sigma - 0.5) ** (k + 1)
+            bound = (LOG_DERIV_BOUND_C * math.factorial(k) * math.log(abs(p.t))
+                     / (p.sigma - 0.5) ** (k + 1))
             if abs(value) > bound:
                 raise PrecisionError(
                     f"|log-derivative|={abs(value):.3e} violates the magnitude "

@@ -132,6 +132,26 @@ class TestZeroPairSum:
         print(f"\nk=0 overshoot {gap:.1f} vs interference scale {model:.1f}")
         assert gap > 0
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_brute_force_double_sum_at_100(self, zero_source, k, a):
+        """Every ordered pair (g, g') with the kernel written out from its definition."""
+        t = 100.0
+        tab = zero_source.table(t)
+        log_t = math.log(t)
+        b = a / math.pi
+        n = 2 * k
+        acc = 0.0
+        for gi in tab.ordinates:
+            for gj in tab.ordinates:
+                d = gi - gj
+                x = d * log_t / (2.0 * math.pi)
+                h = ((-1j) ** n * math.factorial(n) * (b + 1j * x) ** (-(n + 1))).real
+                acc += h * 4.0 / (4.0 + d * d)
+        want = (-1.0) ** k / (2.0 * math.pi) ** n * log_t ** (n + 1) * acc
+        got = mo.i_k_from_zeros(k, a, t, tab).value
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_diagonal_sign_and_scale(self, zero_source):
         tab = zero_source.table(T_UNIT)
         for k in (0, 1, 2):
@@ -225,7 +245,11 @@ class TestDiscrete:
                                          (ZetaEngine, "_line_err"),
                                          (zero_catalog, "_bisect_brackets"),
                                          (zero_catalog, "BISECT_TOL"),
-                                         (zeta_engine, "_bessel_iv")])
+                                         (zeta_engine, "_bessel_iv"),
+                                         (mo, "farmer_ratio"),
+                                         (mo, "_pair_data"),
+                                         (ZeroTable(np.array([14.134725]), 20.0),
+                                          "_pair_cache")])
 def test_unused_helpers_removed(module, name):
     assert not hasattr(module, name)
 

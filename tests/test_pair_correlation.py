@@ -10,7 +10,8 @@ from zetalab.errors import CoverageError, DomainError, RangeError
 from zetalab.pair_correlation import (FGrid, f_alpha, f_grid,
                                       f_window_integral, gue_integral,
                                       montgomery_asymptotic, pair_count,
-                                      pair_weight)
+                                      pair_sum, pair_weight)
+from zetalab.zero_catalog import ZeroTable
 
 
 def brute_f(ordinates, t, alpha):
@@ -89,11 +90,33 @@ class TestFGrid:
             with pytest.raises(DomainError):
                 f_grid(tab, 100.0, 1.0, step)
 
-    def test_threads_do_not_change_values(self, zero_source):
+    def test_phase_recurrence_matches_direct_cosine(self, zero_source):
+        """10^5 recurrence steps stay within 1e-10 of the direct cosine sum."""
         tab = zero_source.table(100.0)
-        serial = f_grid(tab, 100.0, 2.0, 0.05, threads=1)
-        threaded = f_grid(tab, 100.0, 2.0, 0.05, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
+        grid = f_grid(tab, 100.0, 8.0, 8e-5)
+        assert grid.alphas.size == 100_001
+        picks = [*range(0, grid.alphas.size, 100), grid.alphas.size - 1]
+        for i in picks:
+            direct = f_alpha(tab, 100.0, float(grid.alphas[i]))
+            assert grid.values[i] == pytest.approx(direct, rel=1e-10)
+
+
+class TestPairSum:
+    def test_brute_force_all_pairs_at_100(self, zero_source):
+        tab = zero_source.table(100.0)
+        g = tab.ordinates
+        kernel = lambda d: np.exp(-0.3 * np.asarray(d) ** 2)
+        brute = sum(math.exp(-0.3 * (gi - gj) ** 2) * 4.0 / (4.0 + (gi - gj) ** 2)
+                    for gi in g for gj in g)
+        assert pair_sum(tab, 100.0, kernel) == pytest.approx(brute, rel=1e-12)
+
+    def test_single_zero_is_the_diagonal(self):
+        tab = ZeroTable(np.array([14.134725]), 60.0)
+        assert pair_sum(tab, 60.0, lambda d: np.cos(2.0 * np.asarray(d)) + 2.0) == 3.0
+
+    def test_coverage(self, zero_source):
+        with pytest.raises(CoverageError):
+            pair_sum(zero_source.table(100.0), 200.0, np.cos)
 
 
 class TestWindowIntegral:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from zetalab import zeta_engine
 from zetalab.errors import DomainError, NearZeroError, PrecisionError
 from zetalab.zeta_engine import (ComplexEval, EvalPoint, ZetaEngine,
                                  _em_smooth_derivs, riemann_siegel_theta)
@@ -233,13 +234,7 @@ def _single_point_pairs(engine, reference):
     for sigma, t, zetas, logs in reference:
         p = EvalPoint(sigma, t)
         pairs += zip(engine.zeta_derivatives(p, 9), zetas)
-        for k, ref in enumerate(logs):
-            try:
-                pairs.append((engine.log_derivative_k(p, k), ref))
-            except PrecisionError as exc:
-                # the magnitude guard has no k! and refuses large k at
-                # sigma well above 1/2; the truncation gate never fires here
-                assert "magnitude" in str(exc)
+        pairs += [(engine.log_derivative_k(p, k), ref) for k, ref in enumerate(logs)]
     return pairs
 
 
@@ -264,6 +259,23 @@ class TestSinglePoint:
     def test_k4_near_the_line_at_the_top_height(self, engine):
         got = engine.log_derivative_k(EvalPoint(0.52, 5990.0), 4)
         assert got.abs_error < 1e-8 * abs(got.value)
+
+    def test_no_refusal_up_to_k8(self, engine):
+        """The k! in the magnitude guard admits every order on the whole domain."""
+        rng = np.random.default_rng(31)
+        for sigma, t, k in zip(rng.uniform(0.52, 2.0, 500), rng.uniform(10.0, 6000.0, 500),
+                               rng.integers(0, 9, 500)):
+            engine.log_derivative_k(EvalPoint(sigma, t), int(k))
+
+    def test_value_above_the_magnitude_bound_raises(self, engine, monkeypatch):
+        p, k = EvalPoint(1.858, 1072.3), 6
+        value = abs(engine.log_derivative_k(p, k).value)
+        scale = math.factorial(k) * math.log(p.t) / (p.sigma - 0.5) ** (k + 1)
+        monkeypatch.setattr(zeta_engine, "LOG_DERIV_BOUND_C", 1.01 * value / scale)
+        engine.log_derivative_k(p, k)
+        monkeypatch.setattr(zeta_engine, "LOG_DERIV_BOUND_C", 0.99 * value / scale)
+        with pytest.raises(PrecisionError, match="magnitude"):
+            engine.log_derivative_k(p, k)
 
     def test_profile_does_not_follow_the_engine(self, engine, engine_fast):
         p = EvalPoint(0.6, 3000.0)
