@@ -68,13 +68,32 @@ class FGrid:
         return float(self.alphas[-1]) if self.alphas.size else 0.0
 
 
-def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """(zero count, positive pair differences within cutoff, their weights)."""
+def _require_finite(**values: float) -> None:
+    """Raise DomainError for the first of `values` that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name}={value} must be finite")
+
+
+def _window_starts(zeros: ZeroTable, t: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ordinates up to t, index of the first ordinate within reach below each)."""
     zeros.require_coverage(t)
     g = zeros.ordinates[zeros.ordinates <= t]
-    lo = np.searchsorted(g, g - pair_cutoff(t), side="left")
-    blocks = [g[i] - g[lo[i]:i] for i in range(g.size) if lo[i] < i]
-    diffs = np.concatenate(blocks) if blocks else np.empty(0)
+    return g, np.searchsorted(g, g - reach, side="left")
+
+
+def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(zero count, positive pair differences within cutoff, their weights).
+
+    The differences run over i in increasing order and, within each i,
+    over g[lo[i]], ..., g[i-1].
+    """
+    g, lo = _window_starts(zeros, t, pair_cutoff(t))
+    counts = np.arange(g.size) - lo
+    i = np.repeat(np.arange(g.size), counts)
+    starts = np.cumsum(counts) - counts   # where each i's run begins in the output
+    j = np.arange(i.size) - np.repeat(starts - lo, counts)
+    diffs = g[i] - g[j]
     return g.size, diffs, pair_weight(diffs)
 
 
@@ -91,10 +110,9 @@ def pair_sum(zeros: ZeroTable, t: float, kernel) -> float:
 
 def f_alpha(zeros: ZeroTable, t: float, alpha: float) -> float:
     """Montgomery's F(alpha, T) from the zero table."""
+    _require_finite(t=t, alpha=alpha)
     if t < 50.0:
         raise DomainError("f_alpha requires T >= 50")
-    if not math.isfinite(alpha):
-        raise DomainError("alpha must be finite")
     log_t = math.log(t)
     return (2.0 * math.pi / (t * log_t)) * pair_sum(
         zeros, t, lambda d: np.cos(alpha * log_t * d))
@@ -107,6 +125,7 @@ def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float) -> FGrid:
     by the fixed factor e^{i step log T d} from one sample to the next: a
     sample costs one complex multiply and one dot product per pair.
     """
+    _require_finite(t=t, alpha_max=alpha_max, step=step)
     if step <= 0:
         raise DomainError("step must be positive")
     if alpha_max > 8.0:
@@ -160,12 +179,10 @@ def f_window_integral(grid: FGrid, b: float, ell: float) -> float:
 
 def pair_count(zeros: ZeroTable, t: float, beta: float) -> int:
     """N(beta, T): ordered pairs with 0 < g - g' <= 2 pi beta / log T."""
+    _require_finite(t=t, beta=beta)
     if beta <= 0:
         return 0
-    zeros.require_coverage(t)
-    g = zeros.ordinates[zeros.ordinates <= t]
-    spacing = 2.0 * math.pi * beta / math.log(t)
-    lo = np.searchsorted(g, g - spacing, side="left")
+    g, lo = _window_starts(zeros, t, 2.0 * math.pi * beta / math.log(t))
     return int(np.sum(np.arange(g.size) - lo))
 
 
@@ -175,6 +192,7 @@ def gue_integral(beta: float) -> float:
     Integrated per unit panel so the oscillatory integrand never starves
     the adaptive rule; the u=0 singularity is removable (integrand -> 0).
     """
+    _require_finite(beta=beta)
     if beta < 0:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
@@ -193,6 +211,7 @@ def montgomery_asymptotic(alpha: float, t: float) -> float:
 
     Only uniform on |alpha| <= 1; out-of-range requests are rejected.
     """
+    _require_finite(alpha=alpha, t=t)
     if abs(alpha) > 1.0:
         raise DomainError("the asymptotic holds only for |alpha| <= 1")
     if t < 50.0:

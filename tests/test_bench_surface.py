@@ -15,6 +15,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
+from zetalab.kernels import KernelSpec, kernel_eval  # noqa: E402
+from zetalab.pair_correlation import _pair_data, f_grid  # noqa: E402
 from zetalab.zeta_engine import (FAST, STRICT, EvalPoint, ZetaEngine,  # noqa: E402
                                  _main_sum_length)
 
@@ -33,18 +35,17 @@ def test_engine_attributes_and_sum_length():
             assert layers.main_sum_length(t, profile) == _main_sum_length(t, profile)
 
 
-def _counts(attr, factory, args, kwargs):
-    fn = getattr(ZetaEngine, attr)
+def _counts(fn, factory, args, kwargs):
     return factory(fn)(args, kwargs, fn(*args, **kwargs))
 
 
 def test_uniform_counters():
     engine = ZetaEngine(FAST)
     n_terms = _main_sum_length(15.0, FAST) - 1
-    got = _counts("log_deriv_uniform", layers._count_uniform,
+    got = _counts(ZetaEngine.log_deriv_uniform, layers._count_uniform,
                   (engine, 0.7), {"t0": 10.0, "step": 0.1, "count": 51, "kmax": 1})
     assert got == {"points": 51, "terms": 51 * n_terms}
-    got = _counts("hardy_z_uniform", layers._count_uniform,
+    got = _counts(ZetaEngine.hardy_z_uniform, layers._count_uniform,
                   (engine,), {"t0": 10.0, "step": 0.1, "count": 51})
     assert got == {"points": 51, "terms": 51 * n_terms}
 
@@ -53,16 +54,29 @@ def test_points_counters():
     engine = ZetaEngine(STRICT)
     ts = np.array([20.0, -40.0, 30.0])
     n_terms = _main_sum_length(40.0, STRICT) - 1
-    got = _counts("log_deriv_line", layers._count_points,
+    got = _counts(ZetaEngine.log_deriv_line, layers._count_points,
                   (engine, 0.8), {"ts": ts, "kmax": 2})
     assert got == {"points": 3, "terms": 3 * n_terms}
-    got = _counts("hardy_z_points", layers._count_points, (engine,), {"ts": np.abs(ts)})
+    got = _counts(ZetaEngine.hardy_z_points, layers._count_points, (engine,), {"ts": np.abs(ts)})
     assert got == {"points": 3, "terms": 3 * n_terms}
 
 
 def test_single_point_counter():
     engine = ZetaEngine(STRICT)
-    got = _counts("log_derivative_k", layers._count_single,
+    got = _counts(ZetaEngine.log_derivative_k, layers._count_single,
                   (engine,), {"p": EvalPoint(0.9, 100.0), "k": 1})
     assert got["points"] == 1
     assert got["terms"] > engine.circle_nodes * (_main_sum_length(100.0, STRICT) - 1)
+
+
+def test_kernel_counter():
+    spec = KernelSpec("h", 0.5, 2)
+    got = _counts(kernel_eval, layers._count_kernel, (spec, np.linspace(-1.0, 1.0, 7)), {})
+    assert got == {"points": 7}
+    assert _counts(kernel_eval, layers._count_kernel, (spec,), {"x": 0.3}) == {"points": 1}
+
+
+def test_fgrid_counter(zero_source):
+    tab = zero_source.table(100.0)
+    got = _counts(f_grid, layers._count_fgrid, (tab, 100.0, 1.0, 0.5), {})
+    assert got == {"alphas": 3, "pairs": _pair_data(tab, 100.0)[1].size}

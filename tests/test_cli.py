@@ -199,6 +199,14 @@ class TestFtableCommand:
         assert [r["alpha"] for r in rows] == ["0", "0.5", "1"]
         assert all(float(r["f_value"]) >= -1e-9 for r in rows)
 
+    @pytest.mark.parametrize("option", ["--step", "--alpha-max"])
+    def test_nan_grid_option_is_domain_exit(self, option, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(["ftable", "--tmax", "60", option, "nan"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestMomentsCommand:
     def test_all_methods_csv(self, tmp_path, monkeypatch, capsys):

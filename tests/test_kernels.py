@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zetalab.errors import DomainError, UnsupportedError
-from zetalab.kernels import (KernelSpec, h_even_deriv_at_zero, kernel_eval,
-                             kernel_fourier)
+from zetalab.kernels import KernelSpec, kernel_eval, kernel_fourier
 
 widths = st.floats(0.05, 4.0)
 points = st.floats(-30.0, 30.0)
@@ -63,10 +62,8 @@ class TestClosedForms:
     def test_diagonal_positivity(self):
         for b in (0.1, 0.5, 2.0):
             for k in range(5):
-                val = h_even_deriv_at_zero(b, k)
-                assert val == pytest.approx(math.factorial(2 * k) / b ** (2 * k + 1))
                 sign = (-1.0) ** k * kernel_eval(KernelSpec("h", b, 2 * k), 0.0)
-                assert sign == pytest.approx(val)
+                assert sign == pytest.approx(math.factorial(2 * k) / b ** (2 * k + 1))
 
 
 class TestSpecValidation:
@@ -142,14 +139,20 @@ class TestFourier:
                 assert ratio == pytest.approx(math.exp(-2 * math.pi * b * y), rel=1e-12)
 
     def test_odd_order_h_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            kernel_fourier(KernelSpec("h", 1.0, 1), 0.5)
+        for spec in (KernelSpec("h", 1.0, 1), KernelSpec("h", 1.0, 3),
+                     KernelSpec("l", 1.0, 1), KernelSpec("l", 1.0, 3)):
+            with pytest.raises(UnsupportedError):
+                kernel_fourier(spec, 0.5)
 
     @pytest.mark.parametrize("spec", [
         KernelSpec("h", 1.0), KernelSpec("h", 0.3), KernelSpec("l", 1.0),
         KernelSpec("l", 0.3), KernelSpec("h", 1.0, 2), KernelSpec("h", 0.3, 2),
         KernelSpec("h", 1.0, 4), KernelSpec("h", 0.3, 4),
+        KernelSpec("l", 1.0, 2), KernelSpec("l", 1.0, 4),
+        KernelSpec("h", 1.0, 6), KernelSpec("h", 1.0, 8),
         KernelSpec("f", 0.7, k_parity_index=1), KernelSpec("f", 0.7, k_parity_index=2),
+        KernelSpec("f", 0.7, k_parity_index=3), KernelSpec("f", 0.7, k_parity_index=4),
+        KernelSpec("f", 0.7, k_parity_index=8),
     ], ids=str)
     def test_quadrature_agreement(self, spec):
         for y in (0.0, 0.3, 1.0, 2.0):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from zetalab import accumulate, zero_catalog, zeta_engine
+from zetalab import accumulate, kernels, zero_catalog, zeta_engine
 from zetalab import moments as mo
 from zetalab.errors import (CoverageError, DivisionError, DomainError,
                             RangeError)
@@ -248,6 +248,10 @@ class TestDiscrete:
                                          (zeta_engine, "_bessel_iv"),
                                          (mo, "farmer_ratio"),
                                          (mo, "_pair_data"),
+                                         (kernels, "_h_deriv"),
+                                         (kernels, "_l_deriv"),
+                                         (kernels, "_f_parity_coeffs"),
+                                         (kernels, "h_even_deriv_at_zero"),
                                          (ZeroTable(np.array([14.134725]), 20.0),
                                           "_pair_cache")])
 def test_unused_helpers_removed(module, name):

@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from zetalab.errors import CoverageError, DomainError, RangeError
-from zetalab.pair_correlation import (FGrid, f_alpha, f_grid,
+from zetalab.pair_correlation import (FGrid, _pair_data, f_alpha, f_grid,
                                       f_window_integral, gue_integral,
                                       montgomery_asymptotic, pair_count,
-                                      pair_sum, pair_weight)
+                                      pair_cutoff, pair_sum, pair_weight)
 from zetalab.zero_catalog import ZeroTable
 
 
@@ -84,6 +84,12 @@ class TestFGrid:
         with pytest.raises(DomainError):
             FGrid(100.0, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
+    def test_non_finite_inputs_refused(self, zero_source):
+        tab = zero_source.table(100.0)
+        for alpha_max, step in ((1.0, math.nan), (math.nan, 0.5), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                f_grid(tab, 100.0, alpha_max, step)
+
     def test_oversized_grid_refused_before_allocating(self, zero_source):
         tab = zero_source.table(100.0)
         for step in (1e-12, 1e-300):
@@ -117,6 +123,18 @@ class TestPairSum:
     def test_coverage(self, zero_source):
         with pytest.raises(CoverageError):
             pair_sum(zero_source.table(100.0), 200.0, np.cos)
+
+    def test_pair_data_matches_a_loop_at_1500(self, zero_source):
+        """The gathered differences keep the loop's (i, j) order, bit for bit."""
+        t = 1500.0
+        tab = zero_source.table(t)
+        g = tab.ordinates[tab.ordinates <= t]
+        lo = np.searchsorted(g, g - pair_cutoff(t), side="left")
+        ref = np.array([g[i] - g[j] for i in range(g.size) for j in range(lo[i], i)])
+        n, diffs, weights = _pair_data(tab, t)
+        assert n == g.size and ref.size == 149_733
+        assert np.array_equal(diffs.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(weights, pair_weight(ref))
 
 
 class TestWindowIntegral:
@@ -160,6 +178,12 @@ class TestPairCount:
         tab = zero_source.table(100.0)
         assert pair_count(tab, 100.0, 1e-12) == 0
 
+    def test_non_finite_beta_refused(self, zero_source):
+        tab = zero_source.table(100.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                pair_count(tab, 100.0, beta)
+
     def test_monotone_in_beta(self, zero_source):
         tab = zero_source.table(100.0)
         counts = [pair_count(tab, 100.0, b) for b in np.linspace(0.1, 12.0, 40)]
@@ -169,6 +193,11 @@ class TestPairCount:
 class TestGueIntegral:
     def test_zero(self):
         assert gue_integral(0.0) == 0.0
+
+    def test_non_finite_beta_refused(self):
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                gue_integral(beta)
 
     def test_large_beta_closed_form(self):
         # int_0^50 = 49.5 + tail, tail ~ 1/(2 pi^2 50) ~ 1.01e-3
@@ -195,6 +224,11 @@ class TestMontgomeryAsymptotic:
             montgomery_asymptotic(1.2, 100.0)
         with pytest.raises(DomainError):
             montgomery_asymptotic(0.5, 10.0)
+
+    def test_non_finite_inputs_refused(self):
+        for alpha, t in ((math.nan, 100.0), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(DomainError):
+                montgomery_asymptotic(alpha, t)
 
     def test_tracks_empirical_at_depth(self, zero_source):
         tab = zero_source.table(1000.0)
