@@ -3,7 +3,8 @@
 Every numeric output is CSV with a header row, 12 significant digits, LF
 line endings, and no locale formatting, written to --out (default stdout);
 ``report`` writes only under --out-dir.  Only commands that read a zero
-table take --cache and --threads.  Exit codes: 0 success, 1 domain or
+table take --cache and --threads; ``moments --method quad`` takes them but
+reads no zero table and writes no cache.  Exit codes: 0 success, 1 domain or
 computation error or a failed write, 2 usage error.
 """
 
@@ -76,10 +77,10 @@ def _grid(args, table):
     return pc.f_grid(table, args.tmax, args.alpha_max, args.step)
 
 
-def _quadratures(ks, a_list, t, table):
+def _quadratures(ks, a_list, t):
     """One quadrature sweep per distinct a, with the FAST profile."""
     engine = ZetaEngine(FAST)
-    return {a: mo.i_k_quadrature_batch(ks, a, t, engine, table)
+    return {a: mo.i_k_quadrature_batch(ks, a, t, engine)
             for a in dict.fromkeys(a_list)}
 
 
@@ -152,8 +153,8 @@ def cmd_ftable(args) -> int:
 
 def cmd_moments(args) -> int:
     methods = METHODS if args.method == "all" else (args.method,)
-    table = _table(args)
-    quads = _quadratures(args.k, args.a, args.tmax, table) if "quad" in methods else None
+    table = _table(args) if {"zeros", "fromF"} & set(methods) else None
+    quads = _quadratures(args.k, args.a, args.tmax) if "quad" in methods else None
     grid = _grid(args, table) if "fromF" in methods else None
     _emit(_moments(args.k, args.a, args.tmax, methods, quads, table, grid), args.out)
     return 0
@@ -161,7 +162,7 @@ def cmd_moments(args) -> int:
 
 def cmd_discrete(args) -> int:
     table = _table(args)
-    quads = _quadratures(args.k, args.a, args.tmax, table)
+    quads = _quadratures(args.k, args.a, args.tmax)
     _emit(_discrete(args.k, args.a, args.tmax, quads, table), args.out)
     return 0
 
@@ -193,7 +194,7 @@ def cmd_report(args) -> int:
     table = _table(args)
     grid = _grid(args, table)
     _emit(_ftable(grid), out_dir / "ftable.csv")
-    quads = _quadratures(ks, a_list, t, table)
+    quads = _quadratures(ks, a_list, t)
     _emit(_moments(ks, a_list, t, METHODS, quads, table, grid), out_dir / "moments.csv")
     _emit(_discrete(ks, a_list, t, quads, table), out_dir / "discrete.csv")
     _emit(_identity(ks), out_dir / "identity.csv")

@@ -12,9 +12,9 @@ t in [1, T].  It is computed
 D_k(a,T) sums (zeta'/zeta)^(2k) right of each zero (``d_k``); ``_ratio_of``
 forms I_k(a,T) / (2 pi D_k(2a,T)) for the CLI's discrete table.
 
-The quadrature never touches the zero-sum representation of the
-log-derivative, so the quadrature/zero-pair comparison is a genuine
-two-sided test rather than a tautology.
+The quadrature reads no zero table and never touches the zero-sum
+representation of the log-derivative, so the quadrature/zero-pair
+comparison is a genuine two-sided test rather than a tautology.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincc
 
-from .accumulate import exact_sum
 from .errors import (DivisionError, DomainError, PrecisionError, RangeError)
 from .kernels import KernelSpec, kernel_eval
 from .pair_correlation import FGrid, pair_sum
@@ -118,8 +117,8 @@ def _gregory_weights(i0: int, i1: int, n: int) -> np.ndarray:
     return w
 
 
-def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
-                         zeros: ZeroTable) -> list[MomentEstimate]:
+def i_k_quadrature_batch(ks: list[int], a: float, t: float,
+                         engine: ZetaEngine) -> list[MomentEstimate]:
     """All requested orders from one uniform sweep of [1, T].
 
     The integrand is analytic in a strip of half-width about a/log T, so
@@ -130,12 +129,11 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
     (twice the step), the difference from the same nodes evaluated with
     the other public Euler-Maclaurin profile (STRICT for FAST callers,
     FAST otherwise), and a bound (n+1) eps sum w_i f_i h on the rounding
-    of the weighted sum.  The zero table only guards coverage.
+    of the weighted sum.
     """
     ks = list(ks)
     for k in ks:
         _check_envelope(k, a, t)
-    zeros.require_coverage(t)
     log_t = math.log(t)
     sigma = 0.5 + a / log_t
     # the floor keeps the two end corrections of the halved rule apart
@@ -161,13 +159,13 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
 
     out = []
     for j, k in enumerate(ks):
-        value = exact_sum(float(p[j]) for p in fine) * h
-        halved = exact_sum(float(p[j]) for p in coarse) * 2.0 * h
+        value = math.fsum(float(p[j]) for p in fine) * h
+        halved = math.fsum(float(p[j]) for p in coarse) * 2.0 * h
         if abs(value - halved) > 0.05 * abs(value):
             raise PrecisionError(
                 f"step-halving disagreement {abs(value - halved):.3e} exceeds "
                 f"5% of I_{k}({a},{t})")
-        profile_gap = abs(value - exact_sum(float(p[j]) for p in rival) * h)
+        profile_gap = abs(value - math.fsum(float(p[j]) for p in rival) * h)
         # the Gregory weights are positive, so sum w_i f_i h is the value
         rounding = (n + 1) * _EPS * value
         err = abs(value - halved) + profile_gap + rounding
@@ -175,10 +173,9 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float, engine: ZetaEngine,
     return out
 
 
-def i_k_quadrature(k: int, a: float, t: float, engine: ZetaEngine,
-                   zeros: ZeroTable) -> MomentEstimate:
+def i_k_quadrature(k: int, a: float, t: float, engine: ZetaEngine) -> MomentEstimate:
     """Second moment of (zeta'/zeta)^(k) on [1, T] by the Gregory-trapezoid sweep."""
-    return i_k_quadrature_batch([k], a, t, engine, zeros)[0]
+    return i_k_quadrature_batch([k], a, t, engine)[0]
 
 
 # --------------------------------------------------------------------------

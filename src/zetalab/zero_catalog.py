@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .accumulate import parallel_map
 from .errors import (CoverageError, DomainError, IoError, MissedZeroError,
                      OrderError, ParseError, RangeError)
 from .zeta_engine import TWO_PI, ZetaEngine
@@ -50,6 +50,8 @@ class ZeroTable:
         object.__setattr__(self, "ordinates", arr)
         if self.source not in ("computed", "imported"):
             raise DomainError(f"unknown source {self.source!r}")
+        if not math.isfinite(self.t_max):
+            raise RangeError(f"t_max={self.t_max} must be finite")
         if arr.size:
             if np.any(arr <= 0):
                 raise RangeError("ordinates must be positive")
@@ -64,13 +66,12 @@ class ZeroTable:
 
     def up_to(self, t: float) -> "ZeroTable":
         """Sub-table covering (0, t]; requires t <= t_max."""
-        if t > self.t_max:
-            raise CoverageError(f"table covers only t <= {self.t_max}, need {t}")
+        self.require_coverage(t)
         cut = int(np.searchsorted(self.ordinates, t, side="right"))
         return ZeroTable(self.ordinates[:cut].copy(), t, self.source, self.precision)
 
     def require_coverage(self, t: float) -> None:
-        if self.t_max < t:
+        if not t <= self.t_max:
             raise CoverageError(f"zero table covers t <= {self.t_max}, need {t}")
 
 
@@ -113,7 +114,14 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float, step: float,
         n = min(chunk, grid.size - i0)
         return engine.hardy_z_uniform(grid[i0], step, n)
 
-    z = np.concatenate(parallel_map(eval_chunk, starts, threads))
+    # chunks merge in input order either way; serial below two threads so
+    # traced spans keep their parent
+    if threads <= 1 or len(starts) <= 1:
+        parts = [eval_chunk(i0) for i0 in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(eval_chunk, starts))
+    z = np.concatenate(parts)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
     return grid[flips], z[flips], z[flips + 1]
 
@@ -285,13 +293,14 @@ def _cache_file(t_max: float, directory: Path) -> Path:
 
 
 def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
-                 engine: ZetaEngine | None = None, threads: int = 1) -> ZeroTable:
+                 threads: int = 1) -> ZeroTable:
     """Return the cached table for t_max, computing and persisting on miss.
 
     The cache file is canonical: a freshly computed table is re-read from
     disk before use, so runs that compute and runs that hit the cache see
     bit-identical ordinates (the file format rounds to 12 fractional
-    digits).
+    digits).  The key is t_max alone, so every table is computed with the
+    default engine.
     """
     directory = cache_dir(cache)
     path = _cache_file(t_max, directory)
@@ -300,7 +309,7 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create {directory}: {exc}") from exc
-        table = find_zeros(t_max, engine=engine, threads=threads)
+        table = find_zeros(t_max, threads=threads)
         export_zeros(table, path)
     table = import_zeros(path)
     if table.t_max != t_max or not len(table):

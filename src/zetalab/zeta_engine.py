@@ -246,7 +246,7 @@ class ZetaEngine:
     def __init__(self, profile: EmProfile = STRICT):
         self.profile = profile
 
-    def _zeta_derivs(self, s: np.ndarray, jmax: int, profile: EmProfile,
+    def _zeta_derivs(self, s: np.ndarray, jmax: int,
                      step: float | None = None) -> tuple[np.ndarray, float]:
         """zeta^(j)(s) for a 1-d array of points, j <= jmax, plus one error bound.
 
@@ -265,7 +265,7 @@ class ZetaEngine:
             blocks = [slice(m0, m0 + self.CHUNK) for m0 in range(0, s.size, self.CHUNK)]
         err = 0.0
         for idx in blocks:
-            out[idx], trunc, _ = _em_block(s[idx], jmax, profile, step)
+            out[idx], trunc, _ = _em_block(s[idx], jmax, self.profile, step)
             err = max(err, trunc[-1])
         return out, err
 
@@ -274,7 +274,7 @@ class ZetaEngine:
     def zeta_points(self, s: np.ndarray) -> tuple[np.ndarray, float]:
         """zeta(s) for an array of complex points, plus one error bound."""
         s = np.asarray(s, dtype=complex)
-        vals, err = self._zeta_derivs(s.ravel(), 0, self.profile)
+        vals, err = self._zeta_derivs(s.ravel(), 0)
         return vals[:, 0].reshape(s.shape), err
 
     def zeta(self, s: complex) -> ComplexEval:
@@ -287,11 +287,11 @@ class ZetaEngine:
                             count: int, jmax: int) -> tuple[np.ndarray, float]:
         """zeta^(j)(sigma + i(t0 + m step)), m < count, j <= jmax."""
         ts = t0 + step * np.arange(count)
-        return self._zeta_derivs(sigma + 1j * ts, jmax, self.profile, step)
+        return self._zeta_derivs(sigma + 1j * ts, jmax, step)
 
     def zeta_derivs_points(self, sigma: float, ts: np.ndarray, jmax: int) -> tuple[np.ndarray, float]:
         """Same as :meth:`zeta_derivs_uniform` for an arbitrary set of heights."""
-        return self._zeta_derivs(sigma + 1j * np.asarray(ts, dtype=float), jmax, self.profile)
+        return self._zeta_derivs(sigma + 1j * np.asarray(ts, dtype=float), jmax)
 
     # -- log-derivative recursion ------------------------------------------
 

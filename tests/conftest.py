@@ -53,9 +53,8 @@ def zero_source(engine) -> ZeroSource:
 class QuadMemo:
     """Memoized i_k_quadrature_batch sweeps keyed by (orders, a, T)."""
 
-    def __init__(self, engine: ZetaEngine, source: ZeroSource):
+    def __init__(self, engine: ZetaEngine):
         self._engine = engine
-        self._source = source
         self._cache: dict = {}
         self.elapsed = 0.0
 
@@ -63,12 +62,11 @@ class QuadMemo:
         key = (tuple(ks), a, t)
         if key not in self._cache:
             start = time.perf_counter()
-            self._cache[key] = mo.i_k_quadrature_batch(
-                list(ks), a, t, self._engine, self._source.table(t))
+            self._cache[key] = mo.i_k_quadrature_batch(list(ks), a, t, self._engine)
             self.elapsed += time.perf_counter() - start
         return self._cache[key]
 
 
 @pytest.fixture(scope="session")
-def quad_memo(engine_fast, zero_source) -> QuadMemo:
-    return QuadMemo(engine_fast, zero_source)
+def quad_memo(engine_fast) -> QuadMemo:
+    return QuadMemo(engine_fast)

@@ -284,7 +284,7 @@ class TestCriterion10Properties:
             assert pair_count(tab100, 100.0, beta) == brute
 
         # quadrature step-halving stability at modest height
-        est = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast, zero_source.table(200.0))
+        est = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
         assert est.err_estimate < 0.01 * est.value
 
         elapsed = time.perf_counter() - start

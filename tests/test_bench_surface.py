@@ -2,10 +2,12 @@
 
 ``perfbench/layers.py`` wraps public entry points by name, binds their
 parameter names, and reads ``ZetaEngine.CHUNK``, ``.profile`` and
-``.circle_nodes``.  The benchmark's own tests do not run here, so these
+``.circle_nodes``; ``perfbench/workloads.py`` calls ``load_or_find`` with
+``cache`` and ``threads`` keywords and builds ``FGrid`` positionally.  The benchmark's own tests do not run here, so these
 checks catch a rename in the package before a traced benchmark run does.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
 from zetalab.kernels import KernelSpec, kernel_eval  # noqa: E402
-from zetalab.pair_correlation import _pair_data, f_grid  # noqa: E402
+from zetalab.pair_correlation import FGrid, _pair_data, f_grid  # noqa: E402
+from zetalab.zero_catalog import load_or_find  # noqa: E402
 from zetalab.zeta_engine import (FAST, STRICT, EvalPoint, ZetaEngine,  # noqa: E402
                                  _main_sum_length)
 
@@ -80,3 +83,10 @@ def test_fgrid_counter(zero_source):
     tab = zero_source.table(100.0)
     got = _counts(f_grid, layers._count_fgrid, (tab, 100.0, 1.0, 0.5), {})
     assert got == {"alphas": 3, "pairs": _pair_data(tab, 100.0)[1].size}
+
+
+def test_workload_call_shapes():
+    inspect.signature(load_or_find).bind(51.5, cache="c", threads=1)
+    alphas, values = np.array([0.0, 0.5]), np.array([1.0, 0.9])
+    grid = FGrid(51.5, alphas, values)
+    assert grid.T == 51.5 and np.array_equal(grid.values, values)

@@ -237,6 +237,15 @@ class TestMomentsCommand:
         assert len(rows) == 2
         assert all(len(row) == len(header) for row in rows)
 
+    def test_quad_reads_no_zero_table(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "quad-cache"
+        code, _, _ = run_cli(
+            ["moments", "--k", "0", "--a", "1", "--tmax", "200",
+             "--method", "quad", "--cache", str(cache)],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert not cache.exists()
+
 
 class TestTauberianCommand:
     def test_report_rows(self, tmp_path, monkeypatch, capsys):
@@ -293,9 +302,9 @@ class TestReportCommand:
         calls = []
         sweep = mo.i_k_quadrature_batch
 
-        def counted(ks, a, t, engine, zeros):
+        def counted(ks, a, t, engine):
             calls.append(a)
-            return sweep(ks, a, t, engine, zeros)
+            return sweep(ks, a, t, engine)
 
         monkeypatch.setattr(mo, "i_k_quadrature_batch", counted)
         code, _, _ = run_cli(

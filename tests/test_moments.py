@@ -2,15 +2,16 @@
 
 import math
 
+import importlib.util
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from zetalab import accumulate, kernels, zero_catalog, zeta_engine
+from zetalab import kernels, pair_correlation, zero_catalog, zeta_engine
 from zetalab import moments as mo
-from zetalab.errors import (CoverageError, DivisionError, DomainError,
-                            RangeError)
+from zetalab.errors import DivisionError, DomainError, RangeError
 from zetalab.pair_correlation import FGrid, f_grid
 from zetalab.zero_catalog import ZeroTable
 from zetalab.zeta_engine import EmProfile, EvalPoint, ZetaEngine
@@ -45,11 +46,10 @@ class TestQuadrature:
         assert abs(val.value) < 20.0 * spike_scale
         assert abs(val.value) > 0.05 * spike_scale
 
-    def test_refinement_doubling_within_err(self, engine_fast, zero_source, monkeypatch):
-        tab = zero_source.table(200.0)
-        base = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast, tab)
+    def test_refinement_doubling_within_err(self, engine_fast, monkeypatch):
+        base = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
         monkeypatch.setattr(mo, "NODES_PER_WIDTH", 32)
-        denser = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast, tab)
+        denser = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
 
     @pytest.mark.parametrize("n", [12, 25, 101, 1000])
@@ -81,33 +81,28 @@ class TestQuadrature:
         ref, _ = quad(f, lo, hi, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
         assert rule == pytest.approx(ref, rel=1e-10)
 
-    def test_err_covers_profile_gap(self, quad_memo, engine, zero_source):
+    def test_err_covers_profile_gap(self, quad_memo, engine):
         t = 200.0
         fast = quad_memo.batch((0, 1, 2), A_UNIT, t)
-        strict = mo.i_k_quadrature_batch([0, 1, 2], A_UNIT, t, engine,
-                                         zero_source.table(t))
+        strict = mo.i_k_quadrature_batch([0, 1, 2], A_UNIT, t, engine)
         for f_est, s_est in zip(fast, strict):
             assert f_est.err_estimate >= abs(f_est.value - s_est.value)
 
     @pytest.mark.parametrize("t", [51.5, 200.0, 500.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-    def test_within_err_of_reference_sweep(self, quad_memo, zero_source, a, t):
+    def test_within_err_of_reference_sweep(self, quad_memo, a, t):
         """FAST values lie within their own err_estimate of a sweep with a
         profile more accurate than STRICT."""
         reference = ZetaEngine(EmProfile(4.0, 16))
-        refs = mo.i_k_quadrature_batch([0, 1, 2], a, t, reference,
-                                       zero_source.table(t))
+        refs = mo.i_k_quadrature_batch([0, 1, 2], a, t, reference)
         for est, ref in zip(quad_memo.batch((0, 1, 2), a, t), refs):
             assert abs(est.value - ref.value) <= est.err_estimate
 
-    def test_envelope_validation(self, engine_fast, zero_source):
-        tab = zero_source.table(200.0)
+    def test_envelope_validation(self, engine_fast):
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(5, 1.0, 200.0, engine_fast, tab)
+            mo.i_k_quadrature(5, 1.0, 200.0, engine_fast)
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(0, 0.05, 200.0, engine_fast, tab)
-        with pytest.raises(CoverageError):
-            mo.i_k_quadrature(0, 1.0, 300.0, engine_fast, tab)
+            mo.i_k_quadrature(0, 0.05, 200.0, engine_fast)
 
 
 class TestZeroPairSum:
@@ -237,8 +232,7 @@ class TestDiscrete:
             mo._ratio_of(i_est, d_est)
 
 
-@pytest.mark.parametrize("module,name", [(accumulate, "tree_sum"),
-                                         (mo, "weight_alpha_max"),
+@pytest.mark.parametrize("module,name", [(mo, "weight_alpha_max"),
                                          (zeta_engine, "_logs"),
                                          (zeta_engine, "_LOGN"),
                                          (ZetaEngine, "_derivs_chunk_uniform"),
@@ -252,10 +246,15 @@ class TestDiscrete:
                                          (kernels, "_l_deriv"),
                                          (kernels, "_f_parity_coeffs"),
                                          (kernels, "h_even_deriv_at_zero"),
+                                         (pair_correlation, "WEIGHT_ID"),
                                          (ZeroTable(np.array([14.134725]), 20.0),
                                           "_pair_cache")])
 def test_unused_helpers_removed(module, name):
     assert not hasattr(module, name)
+
+
+def test_accumulate_module_removed():
+    assert importlib.util.find_spec("zetalab.accumulate") is None
 
 
 class TestEstimateType:

@@ -124,6 +124,11 @@ class TestPairSum:
         with pytest.raises(CoverageError):
             pair_sum(zero_source.table(100.0), 200.0, np.cos)
 
+    def test_nan_height_not_covered(self):
+        tab = ZeroTable(np.array([14.134725, 21.022040, 25.010858]), 30.0)
+        with pytest.raises(CoverageError):
+            pair_sum(tab, math.nan, np.cos)
+
     def test_pair_data_matches_a_loop_at_1500(self, zero_source):
         """The gathered differences keep the loop's (i, j) order, bit for bit."""
         t = 1500.0
@@ -155,6 +160,12 @@ class TestWindowIntegral:
             f_window_integral(grid, 0.5, 1.0)
         with pytest.raises(RangeError):
             f_window_integral(grid, 0.5, 0.0)
+
+    def test_nonfinite_window_refused(self):
+        grid = FGrid(100.0, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        for b, ell in ((math.nan, 1.0), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                f_window_integral(grid, b, ell)
 
     def test_unit_window_scale_at_2000(self, zero_source):
         """Desk-scale check that the mass in [1, 2] is of unit size."""

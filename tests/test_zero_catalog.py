@@ -166,6 +166,17 @@ class TestZeroTableType:
         with pytest.raises(RangeError):
             ZeroTable(np.array([14.1, 21.0]), 20.0)
 
+    def test_rejects_nonfinite_tmax(self):
+        for t_max in (math.nan, math.inf):
+            with pytest.raises(RangeError):
+                ZeroTable(np.array([1.0]), t_max)
+
+    def test_nan_height_not_covered(self, table100):
+        with pytest.raises(CoverageError):
+            table100.require_coverage(math.nan)
+        with pytest.raises(CoverageError):
+            table100.up_to(math.nan)
+
     def test_truncation(self, table100):
         sub = table100.up_to(30.0)
         assert len(sub) == 3 and sub.t_max == 30.0
@@ -200,6 +211,12 @@ class TestZerosFile:
     def test_nonpositive_is_range_error(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("-1.5\n")
+        with pytest.raises(RangeError):
+            import_zeros(path)
+
+    def test_nan_tmax_header_is_range_error(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_text("# t_max=nan\n14.1\n")
         with pytest.raises(RangeError):
             import_zeros(path)
 
@@ -254,23 +271,22 @@ class TestZerosFile:
 
 
 class TestCache:
-    def test_load_or_find_round_trip(self, tmp_path, engine):
-        first = load_or_find(50.0, cache=tmp_path, engine=engine)
+    def test_load_or_find_round_trip(self, tmp_path):
+        first = load_or_find(50.0, cache=tmp_path)
         assert (tmp_path / "zeros-tmax-50.000000.txt").exists()
-        second = load_or_find(50.0, cache=tmp_path, engine=engine)
+        second = load_or_find(50.0, cache=tmp_path)
         assert np.allclose(first.ordinates, second.ordinates, atol=1e-9)
         assert second.t_max == 50.0
 
     @pytest.mark.parametrize("step", ["fsync", "replace"])
-    def test_failed_write_leaves_no_cache_entry(self, tmp_path, engine,
-                                                monkeypatch, step):
+    def test_failed_write_leaves_no_cache_entry(self, tmp_path, monkeypatch, step):
         """A write interrupted before or at the rename leaves nothing behind."""
         def fail(*args):
             raise OSError(f"simulated {step} failure")
 
         monkeypatch.setattr(zc.os, step, fail)
         with pytest.raises(IoError):
-            load_or_find(50.0, cache=tmp_path, engine=engine)
+            load_or_find(50.0, cache=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):

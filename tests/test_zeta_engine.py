@@ -142,11 +142,11 @@ class TestKernel:
         band = ZetaEngine.BAND
         t = rng.uniform(-6000.0, 6000.0, 2 * band + 90)
         s = rng.choice([0.5, 0.9], t.size) + 1j * t
-        vals, err = engine._zeta_derivs(s, 0, engine.profile)
+        vals, err = engine._zeta_derivs(s, 0)
         single = np.array([engine.zeta(z).value for z in s])
         assert np.all(np.abs(vals[:, 0] - single) <= err)
         top = s[np.argsort(np.abs(t))[-(t.size % band or band):]]   # holds max |t|
-        _, top_err = engine._zeta_derivs(top, 0, engine.profile)
+        _, top_err = engine._zeta_derivs(top, 0)
         assert err >= top_err
 
     def test_empty_input(self, engine):
