@@ -21,14 +21,14 @@ from .predictions import (CoefficientResult, TauberianReport, coefficient_c,
 from .zero_catalog import (CountReport, ZeroTable, export_zeros, find_zeros,
                            import_zeros, load_or_find, rvm_expected_count,
                            verify_counts)
-from .zeta_engine import (FAST, STRICT, ComplexEval, EmProfile, EvalPoint,
+from .zeta_engine import (STRICT, ComplexEval, EmProfile, EvalPoint,
                           ZetaEngine, riemann_siegel_theta)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientResult", "ComplexEval", "CountReport", "CoverageError",
-    "DivisionError", "DomainError", "EmProfile", "EvalPoint", "FAST", "FGrid",
+    "DivisionError", "DomainError", "EmProfile", "EvalPoint", "FGrid",
     "IoError", "KernelSpec", "MissedZeroError", "MomentEstimate",
     "NearZeroError", "OrderError", "ParseError", "PrecisionError",
     "RangeError", "STRICT", "TauberianReport", "UnsupportedError",

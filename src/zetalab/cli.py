@@ -22,7 +22,7 @@ from . import pair_correlation as pc
 from . import predictions as pred
 from . import zero_catalog as zc
 from .errors import IoError, ZetalabError
-from .zeta_engine import FAST, STRICT, ZetaEngine
+from .zeta_engine import ZetaEngine
 
 IDENTITY_A_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 METHODS = ("quad", "zeros", "fromF")
@@ -57,7 +57,10 @@ def _make_dir(path: Path) -> None:
 def _list_of(kind):
     """argparse type for a comma-separated list of ``kind`` values."""
     def parse(text: str) -> list:
-        return [kind(tok) for tok in text.split(",") if tok]
+        values = [kind(tok) for tok in text.split(",") if tok]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
     parse.__name__ = f"{kind.__name__} list"
     return parse
 
@@ -78,9 +81,8 @@ def _grid(args, table):
 
 
 def _quadratures(ks, a_list, t):
-    """One quadrature sweep per distinct a, with the FAST profile."""
-    engine = ZetaEngine(FAST)
-    return {a: mo.i_k_quadrature_batch(ks, a, t, engine)
+    """One quadrature sweep per distinct a."""
+    return {a: mo.i_k_quadrature_batch(ks, a, t, ZetaEngine())
             for a in dict.fromkeys(a_list)}
 
 
@@ -111,12 +113,11 @@ def _moments(ks, a_list, t, methods, quads, table, grid):
 
 
 def _discrete(ks, a_list, t, quads, table):
-    """I_k(a,T) from the given sweeps against 2 pi D_k(2a,T) (STRICT engine)."""
-    engine = ZetaEngine(STRICT)
+    """I_k(a,T) from the given sweeps against 2 pi D_k(2a,T)."""
     rows = []
     for a in a_list:
         for i, k in enumerate(ks):
-            d_est = mo.d_k(k, 2.0 * a, t, table, engine)
+            d_est = mo.d_k(k, 2.0 * a, t, table, ZetaEngine())
             rows.append([k, a, t, 2.0 * math.pi * d_est.value, quads[a][i].value,
                          mo._ratio_of(quads[a][i], d_est)])
     return ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"], rows

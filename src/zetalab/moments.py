@@ -4,7 +4,8 @@ I_k(a,T) is the integral of |(zeta'/zeta)^(k)(1/2 + a/log T + it)|^2 over
 t in [1, T].  It is computed
 
 * by a uniform trapezoid sweep with Gregory end corrections against the
-  Euler-Maclaurin engine (``i_k_quadrature``) -- the ground truth;
+  Euler-Maclaurin engine (``i_k_quadrature``) -- the ground truth, whose
+  error adds step halving, the engine's per-node error and rounding;
 * from the zero-pair sum with the Poisson-kernel derivative
   (``i_k_from_zeros``, one ``pair_correlation.pair_sum`` call);
 * from the sampled pair-correlation function (``i_k_from_f``).
@@ -32,7 +33,7 @@ from .errors import (DivisionError, DomainError, PrecisionError, RangeError)
 from .kernels import KernelSpec, kernel_eval
 from .pair_correlation import FGrid, pair_sum
 from .zero_catalog import ZeroTable
-from .zeta_engine import FAST, STRICT, TWO_PI, ZetaEngine
+from .zeta_engine import TWO_PI, ZetaEngine
 
 KINDS = ("I_quadrature", "I_zero_pairs", "I_from_F", "D_discrete")
 
@@ -125,13 +126,14 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float,
     the trapezoid rule converges geometrically on it; the grid puts
     NODES_PER_WIDTH nodes on each width a/log T and Gregory weights
     correct the two ends.  The value is the fine rule.  The error estimate
-    adds three parts: the difference from the rule on the even nodes
-    (twice the step), the difference from the same nodes evaluated with
-    the other public Euler-Maclaurin profile (STRICT for FAST callers,
-    FAST otherwise), and a bound (n+1) eps sum w_i f_i h on the rounding
-    of the weighted sum.
+    adds the difference from the rule on the even nodes (twice the step);
+    the rule on 2|f_i| e_i + e_i^2, which bounds | |f_i + d|^2 - |f_i|^2 |
+    for every |d| <= e_i, the engine's propagated error at node i; and the
+    bound (n+1) eps sum w_i f_i h on the rounding of the weighted sum.
     """
     ks = list(ks)
+    if not ks:
+        raise DomainError("no orders k requested")
     for k in ks:
         _check_envelope(k, a, t)
     log_t = math.log(t)
@@ -141,34 +143,28 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float,
                  2 * GREGORY_ORDER)
     n = 2 * half_n
     h = (t - 1.0) / n
-    other = ZetaEngine(STRICT if engine.profile == FAST else FAST)
 
-    kmax = max(ks)
-    fine, coarse, rival = [], [], []
+    fine, coarse, engine_err = [], [], []
     for i0 in range(0, n + 1, _SEGMENT):
         i1 = min(i0 + _SEGMENT, n + 1)
         w = _gregory_weights(i0, i1, n)
         w_half = _gregory_weights(i0 // 2, (i1 + 1) // 2, half_n)
-        t0 = 1.0 + i0 * h
-        vals, _ = engine.log_deriv_uniform(sigma, t0, h, i1 - i0, kmax)
-        rival_vals, _ = other.log_deriv_uniform(sigma, t0, h, i1 - i0, kmax)
-        sq = np.abs(vals[:, ks]) ** 2
-        fine.append(w @ sq)
-        coarse.append(w_half @ sq[::2])
-        rival.append(w @ np.abs(rival_vals[:, ks]) ** 2)
+        vals, errs = engine.log_deriv_uniform(sigma, 1.0 + i0 * h, h, i1 - i0, max(ks))
+        f, e = np.abs(vals[:, ks]), errs[:, ks]
+        fine.append(w @ f ** 2)
+        coarse.append(2.0 * (w_half @ f[::2] ** 2))
+        engine_err.append(w @ ((2.0 * f + e) * e))
 
     out = []
     for j, k in enumerate(ks):
-        value = math.fsum(float(p[j]) for p in fine) * h
-        halved = math.fsum(float(p[j]) for p in coarse) * 2.0 * h
+        value, halved, propagated = (math.fsum(float(p[j]) for p in parts) * h
+                                     for parts in (fine, coarse, engine_err))
         if abs(value - halved) > 0.05 * abs(value):
             raise PrecisionError(
                 f"step-halving disagreement {abs(value - halved):.3e} exceeds "
                 f"5% of I_{k}({a},{t})")
-        profile_gap = abs(value - math.fsum(float(p[j]) for p in rival) * h)
         # the Gregory weights are positive, so sum w_i f_i h is the value
-        rounding = (n + 1) * _EPS * value
-        err = abs(value - halved) + profile_gap + rounding
+        err = abs(value - halved) + propagated + (n + 1) * _EPS * value
         out.append(MomentEstimate("I_quadrature", k, a, t, value, err))
     return out
 
@@ -245,9 +241,9 @@ def d_k(k: int, a: float, t: float, zeros: ZeroTable,
         engine: ZetaEngine) -> MomentEstimate:
     """D_k(a,T): sum over gamma <= T of (zeta'/zeta)^(2k) at 1/2+a/logT+i gamma.
 
-    The summand is complex; the real part is the estimate and the imaginary
-    part (plus the propagated evaluation error) lands in the error channel
-    as a sanity signal.
+    The summand is complex; the real part is the estimate.  The error
+    channel holds the imaginary part as a sanity signal plus the sum of the
+    engine's propagated per-zero errors of order 2k.
     """
     _check_envelope(k, a, t)
     zeros.require_coverage(t)
@@ -256,9 +252,9 @@ def d_k(k: int, a: float, t: float, zeros: ZeroTable,
         return MomentEstimate("D_discrete", k, a, t, 0.0, 0.0)
     log_t = math.log(t)
     sigma = 0.5 + a / log_t
-    vals, eval_err = engine.log_deriv_line(sigma, g, 2 * k)
+    vals, errs = engine.log_deriv_line(sigma, g, 2 * k)
     total = complex(np.sum(vals[:, 2 * k]))
-    err = abs(total.imag) + eval_err * g.size
+    err = abs(total.imag) + float(np.sum(errs[:, 2 * k]))
     return MomentEstimate("D_discrete", k, a, t, total.real, err)
 
 

@@ -23,8 +23,10 @@ Arbitrary heights (``zeta_points``, ``zeta_derivs_points`` and everything
 on top of them: ``log_deriv_line``, ``hardy_z_points``) are banded by
 height: ``_zeta_derivs`` sorts them by |Im s| and hands them to the kernel
 in bands of ``ZetaEngine.BAND`` points, so a band of low points does not
-pay the main-sum length of the highest one.  The bulk error bound is the
-largest band's truncation bound at the top order.
+pay the main-sum length of the highest one.  Bulk errors are per point, as
+for single points: each entry carries its block's truncation plus rounding
+bound, and ``log_deriv_uniform``/``_line`` carry these through the same
+log-derivative recursion to one error per point and order.
 
 Error estimates everywhere are heuristic first-order propagation, not
 certified enclosures.
@@ -62,10 +64,8 @@ class EmProfile(NamedTuple):
     correction_terms: int
 
 
-#: Full-accuracy profile used by the public single-point operations.
+#: Default profile of the bulk sweeps.
 STRICT = EmProfile(2.5, 12)
-#: Cheaper profile for bulk quadrature sweeps (abs error ~1e-6 at t=6000).
-FAST = EmProfile(1.5, 10)
 
 
 @dataclass(frozen=True)
@@ -247,35 +247,35 @@ class ZetaEngine:
         self.profile = profile
 
     def _zeta_derivs(self, s: np.ndarray, jmax: int,
-                     step: float | None = None) -> tuple[np.ndarray, float]:
-        """zeta^(j)(s) for a 1-d array of points, j <= jmax, plus one error bound.
+                     step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """zeta^(j)(s) for a 1-d array of points, j <= jmax, with per-entry errors.
 
         ``step`` declares the points uniform, s[m] = s[0] + i step m; they go
         to the kernel in ``CHUNK`` blocks in input order.  Arbitrary points
         are sorted by |Im s| and go in bands of ``BAND`` points, so each band
         sums only as far as its own heights need; the values are scattered
-        back to input order.  The bound is the largest block truncation bound
-        at the top order jmax.
+        back to input order.  Entry [m, j] of the error array is the
+        truncation plus rounding bound of order j of the block holding m.
         """
         out = np.empty((s.size, jmax + 1), dtype=complex)
+        err = np.empty((s.size, jmax + 1))
         if step is None:
             order = np.argsort(np.abs(s.imag), kind="stable")
             blocks = [order[m0:m0 + self.BAND] for m0 in range(0, s.size, self.BAND)]
         else:
             blocks = [slice(m0, m0 + self.CHUNK) for m0 in range(0, s.size, self.CHUNK)]
-        err = 0.0
         for idx in blocks:
-            out[idx], trunc, _ = _em_block(s[idx], jmax, self.profile, step)
-            err = max(err, trunc[-1])
+            out[idx], trunc, rounding = _em_block(s[idx], jmax, self.profile, step)
+            err[idx] = trunc + rounding
         return out, err
 
     # -- raw zeta at arbitrary complex points ------------------------------
 
     def zeta_points(self, s: np.ndarray) -> tuple[np.ndarray, float]:
-        """zeta(s) for an array of complex points, plus one error bound."""
+        """zeta(s) for an array of complex points, plus the largest entry error."""
         s = np.asarray(s, dtype=complex)
         vals, err = self._zeta_derivs(s.ravel(), 0)
-        return vals[:, 0].reshape(s.shape), err
+        return vals[:, 0].reshape(s.shape), float(np.max(err[:, 0], initial=0.0))
 
     def zeta(self, s: complex) -> ComplexEval:
         v, e = self.zeta_points(np.array([s], dtype=complex))
@@ -284,12 +284,12 @@ class ZetaEngine:
     # -- derivatives along a vertical line (bulk) --------------------------
 
     def zeta_derivs_uniform(self, sigma: float, t0: float, step: float,
-                            count: int, jmax: int) -> tuple[np.ndarray, float]:
-        """zeta^(j)(sigma + i(t0 + m step)), m < count, j <= jmax."""
+                            count: int, jmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """zeta^(j)(sigma + i(t0 + m step)), m < count, j <= jmax, with errors."""
         ts = t0 + step * np.arange(count)
         return self._zeta_derivs(sigma + 1j * ts, jmax, step)
 
-    def zeta_derivs_points(self, sigma: float, ts: np.ndarray, jmax: int) -> tuple[np.ndarray, float]:
+    def zeta_derivs_points(self, sigma: float, ts: np.ndarray, jmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Same as :meth:`zeta_derivs_uniform` for an arbitrary set of heights."""
         return self._zeta_derivs(sigma + 1j * np.asarray(ts, dtype=float), jmax)
 
@@ -328,19 +328,21 @@ class ZetaEngine:
             ge[..., n - 1] = acc_err / az[..., 0]
         return vals, ge
 
-    def log_deriv_line(self, sigma: float, ts: np.ndarray, kmax: int) -> tuple[np.ndarray, float]:
-        """(zeta'/zeta)^(m)(sigma + i t) for m = 0..kmax over an array of t."""
+    def log_deriv_line(self, sigma: float, ts: np.ndarray,
+                       kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """(zeta'/zeta)^(m)(sigma + i t), m <= kmax, with errors, over an array of t."""
         if sigma <= 0.5:
             raise DomainError("log-derivative requires sigma > 1/2")
         z, err = self.zeta_derivs_points(sigma, ts, kmax + 1)
-        return self._log_deriv_recursion(z, kmax)[0], err
+        return self._log_deriv_recursion(z, kmax, err)
 
     def log_deriv_uniform(self, sigma: float, t0: float, step: float,
-                          count: int, kmax: int) -> tuple[np.ndarray, float]:
+                          count: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`log_deriv_line` at the heights t0 + m step, m < count."""
         if sigma <= 0.5:
             raise DomainError("log-derivative requires sigma > 1/2")
         z, err = self.zeta_derivs_uniform(sigma, t0, step, count, kmax + 1)
-        return self._log_deriv_recursion(z, kmax)[0], err
+        return self._log_deriv_recursion(z, kmax, err)
 
     # -- public single-point operations ------------------------------------
 

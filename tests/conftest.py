@@ -13,17 +13,12 @@ import pytest
 
 from zetalab import moments as mo
 from zetalab.zero_catalog import ZeroTable, find_zeros
-from zetalab.zeta_engine import FAST, STRICT, ZetaEngine
+from zetalab.zeta_engine import STRICT, ZetaEngine
 
 
 @pytest.fixture(scope="session")
 def engine() -> ZetaEngine:
     return ZetaEngine(STRICT)
-
-
-@pytest.fixture(scope="session")
-def engine_fast() -> ZetaEngine:
-    return ZetaEngine(FAST)
 
 
 class ZeroSource:
@@ -68,5 +63,5 @@ class QuadMemo:
 
 
 @pytest.fixture(scope="session")
-def quad_memo(engine_fast) -> QuadMemo:
-    return QuadMemo(engine_fast)
+def quad_memo(engine) -> QuadMemo:
+    return QuadMemo(engine)

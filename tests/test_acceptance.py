@@ -252,7 +252,7 @@ class TestCriterion09Gue:
 # -- criterion 10: property bundle --------------------------------------------------
 
 class TestCriterion10Properties:
-    def test_bundle(self, zero_source, engine_fast):
+    def test_bundle(self, zero_source, engine):
         start = time.perf_counter()
         rng = np.random.default_rng(11)
 
@@ -284,7 +284,7 @@ class TestCriterion10Properties:
             assert pair_count(tab100, 100.0, beta) == brute
 
         # quadrature step-halving stability at modest height
-        est = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
+        est = mo.i_k_quadrature(0, 1.0, 200.0, engine)
         assert est.err_estimate < 0.01 * est.value
 
         elapsed = time.perf_counter() - start

@@ -20,7 +20,7 @@ import layers  # noqa: E402
 from zetalab.kernels import KernelSpec, kernel_eval  # noqa: E402
 from zetalab.pair_correlation import FGrid, _pair_data, f_grid  # noqa: E402
 from zetalab.zero_catalog import load_or_find  # noqa: E402
-from zetalab.zeta_engine import (FAST, STRICT, EvalPoint, ZetaEngine,  # noqa: E402
+from zetalab.zeta_engine import (STRICT, EvalPoint, ZetaEngine,  # noqa: E402
                                  _main_sum_length)
 
 
@@ -30,10 +30,10 @@ def test_entry_point_exists(owner, attr):
 
 
 def test_engine_attributes_and_sum_length():
-    engine = ZetaEngine(FAST)
-    assert engine.profile == FAST
+    engine = ZetaEngine(STRICT)
+    assert engine.profile == STRICT
     assert isinstance(engine.CHUNK, int) and isinstance(engine.circle_nodes, int)
-    for profile in (STRICT, FAST):
+    for profile in (STRICT, ZetaEngine.SINGLE):
         for t in (0.0, 14.1, 999.5, 6000.0):
             assert layers.main_sum_length(t, profile) == _main_sum_length(t, profile)
 
@@ -43,8 +43,8 @@ def _counts(fn, factory, args, kwargs):
 
 
 def test_uniform_counters():
-    engine = ZetaEngine(FAST)
-    n_terms = _main_sum_length(15.0, FAST) - 1
+    engine = ZetaEngine(STRICT)
+    n_terms = _main_sum_length(15.0, STRICT) - 1
     got = _counts(ZetaEngine.log_deriv_uniform, layers._count_uniform,
                   (engine, 0.7), {"t0": 10.0, "step": 0.1, "count": 51, "kmax": 1})
     assert got == {"points": 51, "terms": 51 * n_terms}

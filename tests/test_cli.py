@@ -237,6 +237,14 @@ class TestMomentsCommand:
         assert len(rows) == 2
         assert all(len(row) == len(header) for row in rows)
 
+    @pytest.mark.parametrize("k, a", [(",", "1"), ("0", ",")])
+    def test_empty_list_is_usage_error(self, k, a, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cmd_dispatch(["moments", "--k", k, "--a", a, "--tmax", "100",
+                          "--method", "quad"])
+        assert exc.value.code == 2
+
     def test_quad_reads_no_zero_table(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "quad-cache"
         code, _, _ = run_cli(

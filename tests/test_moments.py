@@ -46,10 +46,10 @@ class TestQuadrature:
         assert abs(val.value) < 20.0 * spike_scale
         assert abs(val.value) > 0.05 * spike_scale
 
-    def test_refinement_doubling_within_err(self, engine_fast, monkeypatch):
-        base = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
+    def test_refinement_doubling_within_err(self, engine, monkeypatch):
+        base = mo.i_k_quadrature(0, 1.0, 200.0, engine)
         monkeypatch.setattr(mo, "NODES_PER_WIDTH", 32)
-        denser = mo.i_k_quadrature(0, 1.0, 200.0, engine_fast)
+        denser = mo.i_k_quadrature(0, 1.0, 200.0, engine)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
 
     @pytest.mark.parametrize("n", [12, 25, 101, 1000])
@@ -81,28 +81,25 @@ class TestQuadrature:
         ref, _ = quad(f, lo, hi, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
         assert rule == pytest.approx(ref, rel=1e-10)
 
-    def test_err_covers_profile_gap(self, quad_memo, engine):
-        t = 200.0
-        fast = quad_memo.batch((0, 1, 2), A_UNIT, t)
-        strict = mo.i_k_quadrature_batch([0, 1, 2], A_UNIT, t, engine)
-        for f_est, s_est in zip(fast, strict):
-            assert f_est.err_estimate >= abs(f_est.value - s_est.value)
-
     @pytest.mark.parametrize("t", [51.5, 200.0, 500.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_within_err_of_reference_sweep(self, quad_memo, a, t):
-        """FAST values lie within their own err_estimate of a sweep with a
-        profile more accurate than STRICT."""
+        """STRICT values lie within their own err_estimate of a sweep with a
+        more accurate profile."""
         reference = ZetaEngine(EmProfile(4.0, 16))
         refs = mo.i_k_quadrature_batch([0, 1, 2], a, t, reference)
         for est, ref in zip(quad_memo.batch((0, 1, 2), a, t), refs):
             assert abs(est.value - ref.value) <= est.err_estimate
 
-    def test_envelope_validation(self, engine_fast):
+    def test_envelope_validation(self, engine):
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(5, 1.0, 200.0, engine_fast)
+            mo.i_k_quadrature(5, 1.0, 200.0, engine)
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(0, 0.05, 200.0, engine_fast)
+            mo.i_k_quadrature(0, 0.05, 200.0, engine)
+
+    def test_no_orders_refused(self, engine):
+        with pytest.raises(DomainError):
+            mo.i_k_quadrature_batch([], 1.0, 200.0, engine)
 
 
 class TestZeroPairSum:
@@ -219,6 +216,23 @@ class TestDiscrete:
         assert 0.7 <= ratio <= 1.3
         print(f"\nI_0 / 2piD_0 at T=500: {ratio:.4f}")
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_err_covers_reference_engine_gap(self, engine, zero_source, a):
+        """err_estimate covers the move to a more accurate profile, and so do
+        the summed per-zero errors alone, without the |Im| part."""
+        t = 1000.0
+        tab = zero_source.table(t)
+        reference = ZetaEngine(EmProfile(4.0, 16))
+        sigma, g = 0.5 + 2.0 * a / math.log(t), tab.ordinates
+        for k in (0, 1, 2):
+            est = mo.d_k(k, 2.0 * a, t, tab, engine)
+            ref = mo.d_k(k, 2.0 * a, t, tab, reference)
+            assert est.err_estimate >= abs(est.value - ref.value)
+            vals, err = engine.log_deriv_line(sigma, g, 2 * k)
+            ref_vals, _ = reference.log_deriv_line(sigma, g, 2 * k)
+            gap = abs(np.sum(vals[:, 2 * k]) - np.sum(ref_vals[:, 2 * k]))
+            assert gap <= np.sum(err[:, 2 * k])
+
     def test_ratio_of_identity(self):
         i_est = mo.MomentEstimate("I_quadrature", 0, 1.0, 500.0, 1234.5, 0.1)
         d_est = mo.MomentEstimate("D_discrete", 0, 2.0, 500.0,
@@ -240,6 +254,7 @@ class TestDiscrete:
                                          (zero_catalog, "_bisect_brackets"),
                                          (zero_catalog, "BISECT_TOL"),
                                          (zeta_engine, "_bessel_iv"),
+                                         (zeta_engine, "FAST"),
                                          (mo, "farmer_ratio"),
                                          (mo, "_pair_data"),
                                          (kernels, "_h_deriv"),
