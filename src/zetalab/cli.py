@@ -21,7 +21,7 @@ from . import moments as mo
 from . import pair_correlation as pc
 from . import predictions as pred
 from . import zero_catalog as zc
-from .errors import IoError, ZetalabError
+from .errors import DomainError, IoError, ZetalabError
 from .zeta_engine import ZetaEngine
 
 IDENTITY_A_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -70,6 +70,19 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _check_cells(ks, a_list, t, discrete=False):
+    """Refuse a (k, a) outside the moment envelope, and with ``discrete`` a 2a, before any work."""
+    for a in a_list:
+        for k in ks:
+            mo._check_envelope(k, a, t)
+            if discrete:
+                try:
+                    mo._check_envelope(k, 2.0 * a, t)
+                except DomainError as exc:
+                    raise DomainError(f"a={a}: D_k(2a,T) needs 2a={2.0 * a} inside "
+                                      f"the envelope ({exc})") from exc
 
 
 def _table(args):
@@ -154,6 +167,7 @@ def cmd_ftable(args) -> int:
 
 def cmd_moments(args) -> int:
     methods = METHODS if args.method == "all" else (args.method,)
+    _check_cells(args.k, args.a, args.tmax)
     table = _table(args) if {"zeros", "fromF"} & set(methods) else None
     quads = _quadratures(args.k, args.a, args.tmax) if "quad" in methods else None
     grid = _grid(args, table) if "fromF" in methods else None
@@ -162,6 +176,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_discrete(args) -> int:
+    _check_cells(args.k, args.a, args.tmax, discrete=True)
     table = _table(args)
     quads = _quadratures(args.k, args.a, args.tmax)
     _emit(_discrete(args.k, args.a, args.tmax, quads, table), args.out)
@@ -191,6 +206,7 @@ def cmd_tauberian(args) -> int:
 
 def cmd_report(args) -> int:
     ks, a_list, t, out_dir = args.k, args.a, args.tmax, args.out_dir
+    _check_cells(ks, a_list, t, discrete=True)
     _make_dir(out_dir)
     table = _table(args)
     grid = _grid(args, table)

@@ -22,7 +22,7 @@ class NearZeroError(ZetalabError):
 
 
 class MissedZeroError(ZetalabError):
-    """Zero census failed even after the fine rescan pass."""
+    """Zero census failed: the scan's count is off the Riemann-von Mangoldt estimate."""
 
 
 class CoverageError(ZetalabError):

@@ -4,8 +4,8 @@ Zeros are located as sign changes of the Hardy Z function on a fixed scan
 grid and refined by the Illinois modified regula falsi (Dowell & Jarratt,
 BIT 11, 1971), run on all brackets at once: each round evaluates Z only at
 the false-position points of the brackets still wider than ``ROOT_TOL``.
-Completeness is certified against the Riemann-von Mangoldt count; a failed
-census triggers one rescan with a finer step before giving up.  All zeros
+The scan runs once: completeness is certified against the Riemann-von
+Mangoldt count, and a failed census raises ``MissedZeroError``.  All zeros
 are treated as simple.
 """
 
@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .zeta_engine import TWO_PI, ZetaEngine
 
 SCAN_START = 2.0
 SCAN_STEP = 0.05
-RESCAN_STEP = 0.01
 ROOT_TOL = 1e-9
 #: Illinois rounds before the brackets still open fall back to bisection
 FALSE_POSITION_ROUNDS = 16
@@ -101,29 +101,27 @@ def verify_counts(table: ZeroTable) -> CountReport:
 # Zero finding
 # --------------------------------------------------------------------------
 
-def _scan_sign_changes(engine: ZetaEngine, t_max: float, step: float,
+def _scan_sign_changes(engine: ZetaEngine, t_max: float,
                        threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hardy Z on the scan grid; returns the brackets as (lo, z_lo, z_hi)."""
-    count = int(math.ceil((t_max - SCAN_START) / step)) + 1
-    grid = SCAN_START + step * np.arange(count + 1)
+    """Hardy Z at SCAN_START + SCAN_STEP m, to one step past t_max, in pieces of
+    ``engine.CHUNK`` points; returns the sign-change brackets as (lo, z_lo, z_hi)."""
+    size = int(math.ceil((t_max - SCAN_START) / SCAN_STEP)) + 2
+    starts = range(0, size, engine.CHUNK)
 
-    chunk = 8192
-    starts = list(range(0, grid.size, chunk))
+    def piece(i0: int) -> np.ndarray:
+        return engine.hardy_z_uniform(SCAN_START + SCAN_STEP * i0, SCAN_STEP,
+                                      min(engine.CHUNK, size - i0))
 
-    def eval_chunk(i0: int) -> np.ndarray:
-        n = min(chunk, grid.size - i0)
-        return engine.hardy_z_uniform(grid[i0], step, n)
-
-    # chunks merge in input order either way; serial below two threads so
+    # pieces merge in input order either way; serial below two threads so
     # traced spans keep their parent
     if threads <= 1 or len(starts) <= 1:
-        parts = [eval_chunk(i0) for i0 in starts]
+        parts = [piece(i0) for i0 in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, starts))
+            parts = list(pool.map(piece, starts))
     z = np.concatenate(parts)
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    return grid[flips], z[flips], z[flips + 1]
+    return SCAN_START + SCAN_STEP * flips, z[flips], z[flips + 1]
 
 
 def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
@@ -165,34 +163,24 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
                threads: int = 1) -> ZeroTable:
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
-    Scans Z from t=2 (the first zero is near 14.13; nothing lies below) with
-    step 0.05, refines each sign change by Illinois false position to a
-    bracket of width <= 1e-9 and returns its midpoint, and re-scans once
-    with step 0.01 if the census fails.
+    Scans Z once from t=2 (the first zero is near 14.13; nothing lies below)
+    with step 0.05, refines each sign change by Illinois false position to
+    a bracket of width <= 1e-9 and returns its midpoint.  The brackets are
+    disjoint and increasing, so the ordinates come out sorted.  A failed
+    census raises MissedZeroError.
     """
     if not (20.0 <= t_max <= 6000.0):
         raise DomainError(f"t_max={t_max} outside [20, 6000]")
     engine = engine or ZetaEngine()
-    ords = _find_pass(engine, t_max, SCAN_STEP, threads)
-    table = ZeroTable(ords, t_max, "computed", DEFAULT_PRECISION)
-    if verify_counts(table).passed:
-        return table
-    ords = _find_pass(engine, t_max, RESCAN_STEP, threads)
-    table = ZeroTable(ords, t_max, "computed", DEFAULT_PRECISION)
+    lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, threads)
+    ords = _refine_brackets(engine, lo, lo + SCAN_STEP, z_lo, z_hi)
+    table = ZeroTable(ords[ords <= t_max], t_max, "computed", DEFAULT_PRECISION)
     report = verify_counts(table)
     if not report.passed:
         raise MissedZeroError(
             f"census failed at t_max={t_max}: found {report.actual}, "
-            f"expected {report.expected:.2f} (fine rescan included)")
+            f"expected {report.expected:.2f}")
     return table
-
-
-def _find_pass(engine: ZetaEngine, t_max: float, step: float, threads: int) -> np.ndarray:
-    lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, step, threads)
-    if lo.size == 0:
-        return np.empty(0)
-    ords = _refine_brackets(engine, lo, lo + step, z_lo, z_hi)
-    return np.sort(ords[ords <= t_max])
 
 
 # --------------------------------------------------------------------------
@@ -247,17 +235,27 @@ def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
     """Write a zeros file that round-trips bit-identically through import.
 
     Ordinates are printed with 12 fractional digits, which re-parses to the
-    same decimal text.
+    same decimal text; t_max is printed so that it parses back exactly.  A
+    top ordinate that rounding to nearest would lift above t_max is rounded
+    down instead, so the file never lists an ordinate beyond its own t_max.
     """
     path = Path(path)
     lines = [
         "# zetalab zeros table",
-        f"# t_max={table.t_max:.12f}",
+        f"# t_max={_t_max_text(table.t_max)}",
         f"# source={table.source}",
         f"# precision={table.precision:g}",
     ]
-    lines.extend(f"{g:.12f}" for g in table.ordinates)
+    ords = [f"{g:.12f}" for g in table.ordinates]
+    if ords and float(ords[-1]) > table.t_max:
+        ords[-1] = f"{Decimal(table.ordinates[-1]).quantize(Decimal('1e-12'), ROUND_FLOOR):f}"
+    lines.extend(ords)
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _t_max_text(t_max: float) -> str:
+    """The shortest text that parses back to exactly t_max, for file names and headers."""
+    return repr(float(t_max))
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -289,7 +287,7 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
 
 
 def _cache_file(t_max: float, directory: Path) -> Path:
-    return directory / f"zeros-tmax-{t_max:.6f}.txt"
+    return directory / f"zeros-tmax-{_t_max_text(t_max)}.txt"
 
 
 def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
@@ -299,8 +297,9 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     The cache file is canonical: a freshly computed table is re-read from
     disk before use, so runs that compute and runs that hit the cache see
     bit-identical ordinates (the file format rounds to 12 fractional
-    digits).  The key is t_max alone, so every table is computed with the
-    default engine.
+    digits).  The key is t_max alone, written exactly as in the file
+    header, so every table is computed with the default engine and nearby
+    heights get files of their own.
     """
     directory = cache_dir(cache)
     path = _cache_file(t_max, directory)

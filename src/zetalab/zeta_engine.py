@@ -296,14 +296,14 @@ class ZetaEngine:
     # -- log-derivative recursion ------------------------------------------
 
     @staticmethod
-    def _log_deriv_recursion(z: np.ndarray, kmax: int, err: np.ndarray | None = None
-                             ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _log_deriv_recursion(z: np.ndarray, kmax: int,
+                             err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(zeta'/zeta)^(m) for m = 0..kmax from zeta^(0..kmax+1) columns.
 
         With g = log zeta, g^(n) = [zeta^(n) - sum_{j<=n-2} C(n-1,j)
         g^(j+1) zeta^(n-1-j)] / zeta, and (zeta'/zeta)^(m) = g^(m+1).
-        Given absolute error columns ``err`` of z, the second item carries
-        them through the same recursion to first order; otherwise it is None.
+        The second item carries the absolute error columns ``err`` of z
+        through the same recursion to first order.
         """
         z0 = z[..., 0]
         if np.any(np.abs(z0) <= 1e-12):
@@ -316,8 +316,6 @@ class ZetaEngine:
                 acc -= math.comb(n - 1, j) * g[j + 1] * z[..., n - 1 - j]
             g[n] = acc / z0
         vals = np.stack(g[1:], axis=-1)
-        if err is None:
-            return vals, None
         az, ag = np.abs(z), np.abs(vals)
         ge = np.empty(vals.shape)
         for n in range(1, kmax + 2):

@@ -278,6 +278,16 @@ class TestDiscreteCommand:
         assert len(rows) == 1
         assert float(rows[0]["i_over_two_pi_d"]) > 0
 
+    def test_twice_a_outside_envelope_fails_before_the_scan(self, tmp_path, monkeypatch,
+                                                           capsys):
+        code, out, err = run_cli(
+            ["discrete", "--k", "0", "--a", "3", "--tmax", "200"],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("error: a=3.0:")
+        assert out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_d_within_its_error_is_domain_exit(self, tmp_path, monkeypatch, capsys):
         def vanishing(k, a, t, zeros, engine):
             return mo.MomentEstimate("D_discrete", k, a, t, 0.5, 1.0)
@@ -321,6 +331,20 @@ class TestReportCommand:
             tmp_path, monkeypatch, capsys)
         assert code == 0
         assert calls == [0.5, 1.0]
+
+    @pytest.mark.parametrize("k,a,message", [("5", "1", "error: k=5"),
+                                             ("0", "3", "error: a=3.0:")])
+    def test_cell_outside_envelope_writes_nothing(self, k, a, message, tmp_path,
+                                                  monkeypatch, capsys):
+        """Every (k, a), and 2a for the discrete table, is checked before any work."""
+        out_dir = tmp_path / "r"
+        code, _, err = run_cli(
+            ["report", "--tmax", "100", "--k", k, "--a", a, "--out-dir", str(out_dir)],
+            tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith(message)
+        assert not out_dir.exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_out_of_envelope_exits_1(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(

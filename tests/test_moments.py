@@ -253,6 +253,8 @@ class TestDiscrete:
                                          (ZetaEngine, "_line_err"),
                                          (zero_catalog, "_bisect_brackets"),
                                          (zero_catalog, "BISECT_TOL"),
+                                         (zero_catalog, "RESCAN_STEP"),
+                                         (zero_catalog, "_find_pass"),
                                          (zeta_engine, "_bessel_iv"),
                                          (zeta_engine, "FAST"),
                                          (mo, "farmer_ratio"),

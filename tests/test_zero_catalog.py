@@ -63,13 +63,24 @@ class TestFindZeros:
         with pytest.raises(DomainError):
             find_zeros(10.0)
 
-    def test_missed_zero_error_after_rescan(self, engine, monkeypatch):
-        import zetalab.zero_catalog as zc
+    def test_first_failed_census_raises(self, engine, monkeypatch):
         from zetalab.errors import MissedZeroError
-        always_fail = zc.CountReport(expected=99.0, actual=0, passed=False)
-        monkeypatch.setattr(zc, "verify_counts", lambda table: always_fail)
+        censuses = []
+
+        def always_fail(table):
+            censuses.append(len(table))
+            return zc.CountReport(expected=99.0, actual=len(table), passed=False)
+
+        monkeypatch.setattr(zc, "verify_counts", always_fail)
         with pytest.raises(MissedZeroError):
             zc.find_zeros(30.0, engine=engine)
+        assert censuses == [3]  # one scan, no rescan
+
+    def test_threads_are_bit_identical(self, engine):
+        # 5962 scan points: two engine pieces, so two threads share the scan
+        serial = find_zeros(300.0, engine=engine, threads=1)
+        pooled = find_zeros(300.0, engine=engine, threads=2)
+        assert np.array_equal(serial.ordinates, pooled.ordinates)
 
     def test_spacing_statistics_at_1000(self, zero_source):
         tab = zero_source.table(1000.0)
@@ -142,6 +153,18 @@ class TestVerifyCounts:
     def test_gross_mismatch_fails(self):
         stub = ZeroTable(np.array([14.13]), 100.0)
         assert not verify_counts(stub).passed
+
+    @pytest.mark.parametrize("t", [3210.3524, 2448.9883])
+    def test_tightest_heights_below_6000(self, t, zero_source):
+        """The census's smallest margins up to 6000, just below a zero.
+
+        There |N - RvM| reaches 0.65 of the tolerance, the most anywhere in
+        [20, 6000]; the one scan at SCAN_STEP must pass here.
+        """
+        tab = zero_source.table(5000.0)
+        head = tab.up_to(t)
+        assert verify_counts(head).passed
+        assert 0.0 < tab.ordinates[len(head)] - t < 1e-4   # the next zero
 
     def test_formula_tracks_census_at_1000(self, zero_source):
         tab = zero_source.table(1000.0)
@@ -273,10 +296,31 @@ class TestZerosFile:
 class TestCache:
     def test_load_or_find_round_trip(self, tmp_path):
         first = load_or_find(50.0, cache=tmp_path)
-        assert (tmp_path / "zeros-tmax-50.000000.txt").exists()
+        assert (tmp_path / "zeros-tmax-50.0.txt").exists()
         second = load_or_find(50.0, cache=tmp_path)
         assert np.allclose(first.ordinates, second.ordinates, atol=1e-9)
         assert second.t_max == 50.0
+
+    def test_t_max_beyond_six_decimals_round_trips(self, tmp_path):
+        t_max = 50.1234567891234
+        for _ in range(2):      # computes and writes, then reads back
+            tab = load_or_find(t_max, cache=tmp_path)
+            assert tab.t_max == t_max
+        assert [p.name for p in tmp_path.iterdir()] == [f"zeros-tmax-{t_max!r}.txt"]
+
+    def test_nearby_heights_get_their_own_files(self, tmp_path):
+        low = load_or_find(50.0, cache=tmp_path)
+        high = load_or_find(50.0000001, cache=tmp_path)
+        assert (low.t_max, high.t_max) == (50.0, 50.0000001)
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_top_ordinate_stays_within_t_max(self, tmp_path):
+        # to nearest at 12 fractional digits this ordinate prints as ...457
+        t_max = 1234.5678901234567
+        export_zeros(ZeroTable(np.array([14.134725141735, t_max]), t_max), tmp_path / "z")
+        back = import_zeros(tmp_path / "z")
+        assert back.t_max == t_max
+        assert t_max - 1e-12 <= back.ordinates[-1] <= t_max
 
     @pytest.mark.parametrize("step", ["fsync", "replace"])
     def test_failed_write_leaves_no_cache_entry(self, tmp_path, monkeypatch, step):

@@ -230,7 +230,7 @@ class TestLogDerivative:
     def test_near_zero_guard(self, engine):
         z = np.array([[1e-13 + 0j, 1.0 + 0j]])
         with pytest.raises(NearZeroError):
-            engine._log_deriv_recursion(z, 0)
+            engine._log_deriv_recursion(z, 0, np.zeros(z.shape))
 
 
 @pytest.fixture(scope="module")
@@ -328,12 +328,13 @@ class TestSinglePoint:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
         err = 1e-9 * np.abs(z)
-        vals, none = engine._log_deriv_recursion(z, 4)
-        same, g_err = engine._log_deriv_recursion(z, 4, err)
-        assert none is None and np.array_equal(vals, same)
+        exact = np.zeros(z.shape)
+        vals, g_err = engine._log_deriv_recursion(z, 4, err)
+        same, _ = engine._log_deriv_recursion(z, 4, exact)
+        assert np.array_equal(vals, same)
         for _ in range(20):
             phase = np.exp(2j * np.pi * rng.uniform(size=z.shape))
-            moved, _ = engine._log_deriv_recursion(z + err * phase, 4)
+            moved, _ = engine._log_deriv_recursion(z + err * phase, 4, exact)
             assert np.all(np.abs(moved - vals) <= g_err * (1.0 + 1e-6))
 
 
