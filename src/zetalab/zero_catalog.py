@@ -159,6 +159,11 @@ def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _check_t_max(t_max: float) -> None:
+    if not (20.0 <= t_max <= 6000.0):
+        raise DomainError(f"t_max={t_max} outside [20, 6000]")
+
+
 def find_zeros(t_max: float, engine: ZetaEngine | None = None,
                threads: int = 1) -> ZeroTable:
     """All zero ordinates in (0, t_max], certified by the RvM census.
@@ -169,8 +174,7 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     disjoint and increasing, so the ordinates come out sorted.  A failed
     census raises MissedZeroError.
     """
-    if not (20.0 <= t_max <= 6000.0):
-        raise DomainError(f"t_max={t_max} outside [20, 6000]")
+    _check_t_max(t_max)
     engine = engine or ZetaEngine()
     lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, threads)
     ords = _refine_brackets(engine, lo, lo + SCAN_STEP, z_lo, z_hi)
@@ -299,8 +303,10 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     bit-identical ordinates (the file format rounds to 12 fractional
     digits).  The key is t_max alone, written exactly as in the file
     header, so every table is computed with the default engine and nearby
-    heights get files of their own.
+    heights get files of their own.  A height outside [20, 6000] is refused
+    before the cache directory is touched.
     """
+    _check_t_max(t_max)
     directory = cache_dir(cache)
     path = _cache_file(t_max, directory)
     if not path.exists():

@@ -131,6 +131,15 @@ class TestUsage:
         assert err.startswith("error: cannot create")
         assert out == "" and calls == []
 
+    @pytest.mark.parametrize("argv", [["zeros", "--tmax", "7000"], ["ftable", "--tmax", "10"]])
+    def test_height_outside_range_creates_no_cache(self, argv, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "d" / "c"
+        code, out, err = run_cli(argv + ["--cache", str(cache)], tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert "outside [20, 6000]" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_console_entry_point(self):
         src = Path(zetalab.__file__).parents[1]  # importable in the child without an install
         proc = subprocess.run([sys.executable, "-m", "zetalab.cli", "--help"],

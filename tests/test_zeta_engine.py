@@ -9,8 +9,8 @@ import oracles
 from zetalab import moments as mo
 from zetalab import zeta_engine
 from zetalab.errors import DomainError, NearZeroError, PrecisionError
-from zetalab.zeta_engine import (ComplexEval, EmProfile, EvalPoint, ZetaEngine,
-                                 _em_smooth_derivs, riemann_siegel_theta)
+from zetalab.zeta_engine import (STRICT, ComplexEval, EmProfile, EvalPoint, ZetaEngine,
+                                 _em_block, _em_smooth_derivs, riemann_siegel_theta)
 
 ZETA2 = math.pi ** 2 / 6
 ZETA_PRIME_2 = -0.93754825431584375370
@@ -107,6 +107,13 @@ SMOOTH_HEIGHTS = {32: (3.0, -14.13, 50.0), 414: (-700.0, 1000.0),
                   2400: (3000.0, -6000.0)}
 
 
+def _uniform_block(sigma: float, top: float, step: float) -> np.ndarray:
+    """The points of one uniform block ending at height top, at most CHUNK
+    long and starting no lower than t = 2, laid out as a sweep lays them."""
+    count = min(ZetaEngine.CHUNK, int((top - 2.0) / step) + 1)
+    return sigma + 1j * (top - (count - 1) * step + step * np.arange(count))
+
+
 class TestKernel:
     @pytest.mark.parametrize("n_len", sorted(SMOOTH_HEIGHTS))
     @pytest.mark.parametrize("r_terms", [10, 12, 14])
@@ -150,6 +157,37 @@ class TestKernel:
         top = np.argsort(np.abs(t))[-(t.size % band or band):]   # holds max |t|
         _, top_err = engine._zeta_derivs(s[top], 0)
         assert np.array_equal(err[top], top_err)
+
+    @pytest.mark.parametrize("top", [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0])
+    def test_uniform_blocks_within_their_bounds(self, top):
+        """Every entry of a uniform block is within the block's own truncation
+        plus rounding bound of the same block summed point by point."""
+        for step in (0.0018, 0.004, 0.05):
+            for sigma in (0.5, 0.6, 1.0, 1.5):
+                s = _uniform_block(sigma, top, step)
+                for jmax in (0, 3, 5):
+                    vals, trunc, rounding = _em_block(s, jmax, STRICT, step)
+                    ref, _, _ = _em_block(s, jmax, STRICT, None)
+                    assert np.all(np.abs(vals - ref) <= trunc + rounding), (step, sigma, jmax)
+
+    @pytest.mark.parametrize("sigma, top", [(0.5, 20.0), (0.6, 1000.0)])
+    def test_uniform_block_ends_against_mpmath(self, sigma, top):
+        pytest.importorskip("mpmath")
+        step = 0.0018
+        s = _uniform_block(sigma, top, step)
+        vals, trunc, rounding = _em_block(s, 5, STRICT, step)
+        for m in (-65, -2, -1):
+            ref, _ = oracles.mp_zeta_and_log_derivs(s[m], 5)
+            assert np.all(np.abs(vals[m] - ref) <= trunc + rounding), m
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4095, 4097])
+    @pytest.mark.parametrize("jmax", [0, 5])
+    def test_uniform_tail_and_shape(self, engine, count, jmax):
+        """Counts around the grid row and CHUNK lengths: the padded tail is dropped."""
+        uni, err = engine.zeta_derivs_uniform(0.6, 300.0, 0.013, count, jmax)
+        pts, pts_err = engine.zeta_derivs_points(0.6, 300.0 + 0.013 * np.arange(count), jmax)
+        assert uni.shape == err.shape == (count, jmax + 1)
+        assert np.all(np.abs(uni - pts) <= err + pts_err)
 
     def test_empty_input(self, engine):
         vals, err = engine.zeta_points(np.array([], dtype=complex))
