@@ -65,11 +65,15 @@ def _list_of(kind):
     return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _check_cells(ks, a_list, t, discrete=False):
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero statistics and log-derivative moments of the "
                     "Riemann zeta function.")
     zero_table = argparse.ArgumentParser(add_help=False)
-    zero_table.add_argument("--threads", type=int, default=1,
+    zero_table.add_argument("--threads", type=_int_at_least(1), default=1,
                             help="worker cap for the zero scan (default 1)")
     zero_table.add_argument("--cache", help="zero-table cache directory "
                                             "(default $ZETALAB_CACHE or ./zetalab-cache)")
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("identity", cmd_identity, [out],
                 "quadrature residual of the coefficient identity")
-    p.add_argument("--kmax", type=_nonnegative_int, required=True)
+    p.add_argument("--kmax", type=_int_at_least(0), required=True)
 
     p = command("tauberian", cmd_tauberian, [zero_table, tmax, f_grid, out],
                 "weighted-integral vs window-average comparator")

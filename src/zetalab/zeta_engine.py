@@ -15,15 +15,16 @@ truncation and rounding bounds, and every public operation is built on it:
 * bulk sweeps along a vertical line: ``zeta_derivs_uniform``/``_points``
   feed the kernel block by block through ``ZetaEngine._zeta_derivs``,
   which vectorizes over thousands of heights at once and is the only
-  affordable option for the moment quadratures.  Uniform sweeps pass their
-  step, and the kernel then factors the main sum on a grid of ``GRID``
-  points (the grid step of Odlyzko & Schoenhage, Trans. AMS 309, 1988)
-  into one complex matrix product, with no count x N matrix of n^{-s}.
+  affordable option for the moment quadratures.
 
-Arbitrary heights (``zeta_points``, ``zeta_derivs_points`` and everything
-on top of them: ``log_deriv_line``, ``hardy_z_points``) are banded by
-height: ``_zeta_derivs`` sorts them by |Im s| and hands them to the kernel
-in bands of ``ZetaEngine.BAND`` points, so a band of low points does not
+Every block's main sum is one complex product outer @ kernel: the rows of
+``outer`` are n^{-s} at row anchors, and the kernel is the weights
+(-ln n)^j, for a uniform sweep times the phases n^{-i r step} of the
+``GRID`` points of a row (Odlyzko & Schoenhage, Trans. AMS 309, 1988).
+Uniform sweeps go in ``ZetaEngine.CHUNK`` blocks in input order.  Arbitrary
+heights (``zeta_points``, ``zeta_derivs_points``, ``log_deriv_line``,
+``hardy_z_points``) are sorted by |Im s| and go in bands of
+``ZetaEngine.BAND`` points, one per row, so a band of low points does not
 pay the main-sum length of the highest one.  Bulk errors are per point, as
 for single points: each entry carries its block's truncation plus rounding
 bound, and ``log_deriv_uniform``/``_line`` carry these through the same
@@ -68,9 +69,9 @@ class EmProfile(NamedTuple):
 #: Default profile of the bulk sweeps.
 STRICT = EmProfile(2.5, 12)
 
-#: Points per grid row of a uniform block: the inner factor of the main sum
-#: is an N x GRID matrix.  Of 32, 64 and 128, 64 timed fastest on a 2-core
-#: AMD EPYC with one BLAS thread.
+#: Points per row of a uniform block, whose main-sum kernel is then an
+#: N x GRID (jmax+1) matrix.  Of 32, 64 and 128, 64 timed fastest on a
+#: 2-core AMD EPYC with one BLAS thread.
 GRID = 64
 
 
@@ -192,14 +193,14 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
               step: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """zeta^(j)(s) for j = 0..jmax over one block of complex points, plus bounds.
 
-    The main-sum length N follows the block's own max |Im s|.  Without
-    ``step`` each entry of the count x N matrix of n^{-s} is one
-    exponential.  With ``step`` the points must be s[0] + i step m: the
-    block pads to Q rows of G = min(GRID, count) points, and the main sum
-    is one complex product outer @ inner of outer[(q, j), n] =
-    n^{-s[G q]} (-ln n)^j, shape (Q (jmax+1), N), with inner[n, r] =
-    n^{-i r step}, shape (N, G), reshaped to (Q G, jmax+1) with the padded
-    tail dropped; every entry is then a product of two exponentials.
+    The main-sum length N follows the block's own max |Im s|.  The main
+    sum is one complex product outer @ kernel, reshaped to (count, jmax+1)
+    with the padded tail dropped.  The block is split into Q rows of G
+    points, and outer[q, n] = n^{-s[G q]}, shape (Q, N), holds the row
+    anchors.  Without ``step``, G = 1 and the kernel is the weight matrix
+    (-ln n)^j, shape (N, jmax+1).  With ``step`` the points must be
+    s[0] + i step m, G = min(GRID, count), and kernel[n, (r, j)] =
+    n^{-i r step} (-ln n)^j, shape (N, G (jmax+1)).
     Two per-order bounds come back, both at the block's min sigma and max
     |t|: the truncation bound, the tail with that N times max(1, ln N)^j for
     the differentiated terms, and the float64 rounding estimate
@@ -215,17 +216,15 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
     for j in range(1, jmax + 1):
         np.multiply(weights[:, j - 1], -logs, out=weights[:, j])
     if step is None:
-        npow = np.multiply.outer(-s, logs)
-        np.exp(npow, out=npow)
-        main = npow @ weights
+        grid, kernel = 1, weights
     else:
         grid = min(GRID, s.size)
-        q_len = -(-s.size // grid)
-        outer = np.exp(np.multiply.outer(-s[::grid], logs))
-        outer = (outer[:, None, :] * weights.T).reshape(q_len * (jmax + 1), n_len - 1)
-        inner = np.exp(np.multiply.outer(logs, -1j * step * np.arange(grid)))
-        main = (outer @ inner).reshape(q_len, jmax + 1, grid).transpose(0, 2, 1)
-        main = main.reshape(q_len * grid, jmax + 1)[:s.size]
+        # one expression, so the N x G phase matrix is freed before the product
+        kernel = (np.exp(np.multiply.outer(logs, -1j * step * np.arange(grid)))[:, :, None]
+                  * weights[:, None, :]).reshape(n_len - 1, -1)
+    outer = np.multiply.outer(-s[::grid], logs)
+    np.exp(outer, out=outer)
+    main = (outer @ kernel).reshape(-1, jmax + 1)[:s.size]
     vals = main + _em_smooth_derivs(s, n_len, jmax, profile.correction_terms)
     tail = _tail_bound(sigma_lo, t_hi, n_len, profile.correction_terms)
     ln_n = math.log(n_len)
@@ -247,11 +246,11 @@ class ZetaEngine:
     """
 
     #: points per kernel block of a uniform sweep: each block sums to its
-    #: own top height, and bounds the outer factor of its main sum, a
-    #: (CHUNK/GRID)(jmax+1) x N matrix
+    #: own top height, and its outer factor is a (CHUNK/GRID) x N matrix
     CHUNK = 4096
-    #: points per height band of an arbitrary-point evaluation
-    BAND = 256
+    #: points per height band of an arbitrary-point evaluation, one point
+    #: per row of the outer factor, so it has as many rows as a uniform block's
+    BAND = CHUNK // GRID
     #: Euler-Maclaurin profile of the single-point operations: keeps the
     #: truncation bound of every order j <= 9 below 1e-8 up to t = 6000
     SINGLE = EmProfile(3.3, 16)

@@ -191,11 +191,18 @@ class TestIdentityCommand:
         assert out == ""
         assert calls == []  # refused before the first quadrature
 
-    def test_negative_kmax_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--kmax", "-1"],
+        ["zeros", "--tmax", "100", "--threads", "0"],
+        ["zeros", "--tmax", "100", "--threads", "-3"],
+    ], ids=["kmax-1", "threads0", "threads-3"])
+    def test_negative_kmax_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ZETALAB_CACHE", str(tmp_path / "cache"))
         with pytest.raises(SystemExit) as exc:
-            cmd_dispatch(["identity", "--kmax", "-1"])
+            cmd_dispatch(argv)
         assert exc.value.code == 2
-        assert "nonnegative" in capsys.readouterr().err
+        assert f"{argv[-2]}: must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestFtableCommand:

@@ -102,7 +102,8 @@ class TestRefinement:
         z_right = engine.hardy_z_points(r + half)
         assert np.all(np.sign(z_left) * np.sign(z_right) < 0)
 
-    def test_at_most_eight_points_per_bracket(self, monkeypatch):
+    @pytest.mark.parametrize("t_max, zeros", [(200.0, 79), (1000.0, 649)])
+    def test_at_most_eight_points_per_bracket(self, t_max, zeros, monkeypatch):
         engine = ZetaEngine()
         sizes = []
 
@@ -111,8 +112,8 @@ class TestRefinement:
             return ZetaEngine.hardy_z_points(engine, ts)
 
         monkeypatch.setattr(engine, "hardy_z_points", counted)
-        tab = find_zeros(200.0, engine=engine)
-        assert len(tab) == 79
+        tab = find_zeros(t_max, engine=engine)
+        assert len(tab) == zeros
         # every call is one round, so no bracket gets more points than calls
         assert len(sizes) <= 8
         assert sum(sizes) <= 8 * len(tab)
