@@ -11,8 +11,8 @@ computation error or a failed write, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -35,16 +35,24 @@ def _fmt(x) -> str:
 
 
 def _emit(table, path) -> None:
-    """Write a table builder's (header, rows) as CSV to ``path``; None or '-' is stdout."""
+    """Write a table builder's (header, rows) as CSV to ``path``; None or '-' is stdout.
+
+    The CSV is built in memory and a file is replaced atomically, so a
+    failed write leaves any previous file whole; a rerun rewrites it, so it
+    is not fsynced.
+    """
     header, rows = table
+    text = io.StringIO()
     try:
-        with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-              else open(path, "w", newline="")) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        if path in (None, "-"):
+            sys.stdout.write(text.getvalue())
+            return
     except OSError as exc:
         raise IoError(f"cannot write {path or '-'}: {exc}") from exc
+    zc._write_atomic(Path(path), text.getvalue(), durable=False)
 
 
 def _make_dir(path: Path) -> None:

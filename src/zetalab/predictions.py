@@ -9,9 +9,10 @@ grows like c_k(a) T (log T)^(2k+2) with
 and the discrete moment D_k(a,T) like d_k(a) T (log T)^(2k+2) with
 d_k(a) = c_k(a/2)/(2 pi).  The same c_k(a) equals the elementary integral
 int_0^1 x^(2k+1) e^(-2ax) dx + int_1^inf x^(2k) e^(-2ax) dx, which
-``gr_identity_residual`` verifies by composite Gauss-Legendre quadrature
-in longdouble, guarded by a panel-halving comparison that raises
-PrecisionError when the two rules disagree.  Factorials are exact
+``gr_identity_residual`` verifies in longdouble: Gauss-Legendre on [0, 1],
+guarded by a one- against two-panel comparison that raises PrecisionError
+when they disagree, and Gauss-Laguerre on the tail, exact for every k up
+to 8 (Golub & Welsch, Math. Comp. 23, 1969).  Factorials are exact
 integers up to k = 8; beyond that the evaluation refuses, with
 OrderLimitError, rather than lose precision.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, OrderLimitError, PrecisionError, RangeError
@@ -84,83 +86,64 @@ def coefficient_d(k: int, a: float) -> CoefficientResult:
     return CoefficientResult(k, a, _closed_form(k, a) / (2.0 * math.pi), "D_discrete")
 
 
-#: Gauss-Legendre nodes per panel of the identity quadrature
+#: nodes of each Gauss rule behind the identity residual
 _GL_NODES = 20
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] in longdouble.
+def _gauss_rules(n: int) -> tuple[np.ndarray, ...]:
+    """n-point Gauss-Legendre on [0, 1] and Gauss-Laguerre on [0, inf) in longdouble.
 
-    ``leggauss`` gives them to float64 accuracy; Newton steps on the
-    three-term Legendre recurrence, run in longdouble, finish the nodes.
+    ``leggauss`` and ``laggauss`` give the nodes to float64 accuracy; three
+    Newton steps on each three-term recurrence, run in longdouble, finish
+    them.  The weights are 2/((1-x^2) P_n'(x)^2), halved for [0, 1], and
+    1/(u L_n'(u)^2).  Returns (x, w, u, v).
     """
-    x = leggauss(n)[0].astype(np.longdouble)
-    for _ in range(3):
-        p_prev, p = np.ones_like(x), x
-        for m in range(1, n):
-            p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-        dp = n * (x * p - p_prev) / (x * x - 1)
-        x = x - p / dp
-    w = 2 / ((1 - x * x) * dp * dp)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    def polish(x, p1, step, deriv):
+        for _ in range(3):
+            p_prev, p = np.ones_like(x), p1(x)
+            for m in range(1, n):
+                p_prev, p = p, step(m, x, p, p_prev)
+            dp = deriv(x, p, p_prev)
+            x = x - p / dp
+        return x, dp
 
-
-def _gauss_legendre_longdouble(power: int, a: float, lo: float, hi: float,
-                               n_panels: int) -> np.longdouble:
-    """Composite Gauss-Legendre of x^power e^(-2ax) on [lo, hi] in extended precision.
-
-    The identity this feeds is checked at absolute 1e-8 against targets as
-    large as ~1e7, i.e. near the float64 noise floor, so the quadrature side
-    runs in longdouble.  The rule runs on n_panels and on 2 n_panels equal
-    panels; their difference guards the truncation error, and the value is
-    the finer rule.
-    """
-    x, w = _gauss_legendre(_GL_NODES)
-
-    def rule(m: int) -> np.longdouble:
-        edges = np.linspace(np.longdouble(lo), np.longdouble(hi), m + 1)
-        half = (edges[1] - edges[0]) / 2
-        xs = np.add.outer(edges[:-1] + half, half * x)
-        ys = xs ** power * np.exp(np.longdouble(-2.0 * a) * xs)
-        return half * np.sum(ys @ w)
-
-    coarse = rule(n_panels)
-    fine = rule(2 * n_panels)
-    if abs(float(fine - coarse)) > 1e-9 * max(1.0, abs(float(fine))):
-        raise PrecisionError("identity quadrature failed to converge")
-    return fine
+    x, dp = polish(leggauss(n)[0].astype(np.longdouble), lambda x: x,
+                   lambda m, x, p, q: ((2 * m + 1) * x * p - m * q) / (m + 1),
+                   lambda x, p, q: n * (x * p - q) / (x * x - 1))
+    u, du = polish(laggauss(n)[0].astype(np.longdouble), lambda u: 1 - u,
+                   lambda m, u, p, q: ((2 * m + 1 - u) * p - m * q) / (m + 1),
+                   lambda u, p, q: n * (p - q) / u)
+    rules = ((1 + x) / 2, 1 / ((1 - x * x) * dp * dp), u, 1 / (u * du * du))
+    for arr in rules:
+        arr.flags.writeable = False
+    return rules
 
 
 def gr_identity_residual(k: int, a: float) -> float:
-    """|quadrature of the split Gamma integrals minus the closed form|.
+    """|int_0^1 x^(2k+1) e^(-2ax) dx + int_1^inf x^(2k) e^(-2ax) dx - c_k(a)|.
 
-    int_0^1 x^(2k+1) e^(-2ax) dx + int_1^cut x^(2k) e^(-2ax) dx + tail,
-    with the cut chosen so the analytic tail bound is below 1e-12 absolute
-    (the comparison is against an absolute residual threshold).  Both
-    integrals use composite Gauss-Legendre with ``_GL_NODES`` nodes per
-    panel in longdouble: [0, 1] as one panel, [1, cut] in panels at most
-    1/(2a) wide, over which e^(-2ax) falls by at most a factor e.  Each
-    part is summed again on panels of half that width, which gives the
-    value; a difference above 1e-9 relative between the two sums raises
-    PrecisionError.
+    Both integrals are summed with ``_GL_NODES``-point Gauss rules in
+    longdouble, since targets as large as ~1e7 are checked at absolute 1e-8.
+    The head is Gauss-Legendre over [0, 1] as one panel and as two; their
+    difference above 1e-9 relative raises PrecisionError, and the value is
+    the two-panel sum.  With x = 1 + u/(2a) the tail is
+    e^(-2a)/(2a) int_0^inf (1 + u/(2a))^(2k) e^(-u) du, which Gauss-Laguerre
+    integrates exactly for 2k <= 2 _GL_NODES - 1.
     """
     _validate(k, a)
+    x, w, u, v = _gauss_rules(_GL_NODES)
+    twoa = np.longdouble(2.0) * np.longdouble(a)
 
-    def tail_majorant(cut: float) -> float:
-        # beyond cut > k/a the integrand decays faster than the geometric
-        # envelope cut^2k e^(-2a x); integrate that envelope
-        return cut ** (2 * k) * math.exp(-2 * a * cut) / (2 * a * (1.0 - k / (a * cut)))
+    def head(panels: int) -> np.longdouble:
+        xs = (np.arange(panels)[:, None] + x) / panels
+        return np.sum(xs ** (2 * k + 1) * np.exp(-twoa * xs) @ w) / panels
 
-    cut = max(2.0, 4.0 * k / a + 2.0)
-    while tail_majorant(cut) > 1e-12:
-        cut *= 1.5
-    part1 = _gauss_legendre_longdouble(2 * k + 1, a, 0.0, 1.0, 1)
-    part2 = _gauss_legendre_longdouble(2 * k, a, 1.0, cut, math.ceil(2.0 * a * (cut - 1.0)))
-    total = part1 + part2 + np.longdouble(tail_majorant(cut))
-    closed = _closed_form(k, np.longdouble(2.0) * np.longdouble(a))
-    return abs(float(total - closed))
+    coarse, fine = head(1), head(2)
+    if abs(float(fine - coarse)) > 1e-9 * max(1.0, abs(float(fine))):
+        raise PrecisionError("identity quadrature failed to converge")
+    tail = np.exp(-twoa) / twoa * np.sum(v * (1 + u / twoa) ** (2 * k))
+    return abs(float(fine + tail - _closed_form(k, twoa)))
 
 
 # --------------------------------------------------------------------------

@@ -107,6 +107,30 @@ class TestUsage:
         assert err.startswith(f"error: cannot write {target}")
         assert out == ""
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "x.csv"
+        target.write_text("previous\n")
+        make_writer = csv.writer
+
+        def failing_writer(out, **kwargs):
+            writer = make_writer(out, **kwargs)
+
+            class Failing:
+                writerow = writer.writerow
+
+                def writerows(self, rows):
+                    raise OSError("simulated failure after the header")
+
+            return Failing()
+
+        monkeypatch.setattr(csv, "writer", failing_writer)
+        code, out, err = run_cli(["predict", "--k", "1", "--a", "1", "--out", str(target)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot write {target}")
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     def test_out_dir_on_a_file_is_domain_exit(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -95,6 +95,19 @@ class TestIdentityResidual:
         monkeypatch.setattr(predictions, "_closed_form", shifted)
         assert gr_identity_residual(2, 0.25) == pytest.approx(1e-9, rel=0.1)
 
+    def test_relative_residual_at_longdouble_rounding(self):
+        worst = max(gr_identity_residual(k, a) / coefficient_c(k, a).value
+                    for k in range(9) for a in A_GRID)
+        assert worst <= 1e-17
+
+    def test_gauss_rules_exact_on_monomials(self):
+        x, w, u, v = predictions._gauss_rules(predictions._GL_NODES)
+        for m in range(2 * predictions._GL_NODES):
+            legendre = np.sum(w * x ** m) * (m + 1)      # int_0^1 x^m dx = 1/(m+1)
+            laguerre = np.sum(v * u ** m) / np.longdouble(math.factorial(m))
+            assert abs(float(legendre - 1)) <= 1e-17, m
+            assert abs(float(laguerre - 1)) <= 1e-17, m
+
     def test_coarse_rule_raises(self, monkeypatch):
         monkeypatch.setattr(predictions, "_GL_NODES", 3)
         with pytest.raises(PrecisionError):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import zero_catalog as zc
-from zetalab.errors import (CoverageError, DomainError, IoError, OrderError,
-                            ParseError, RangeError)
+from zetalab.cli import cmd_dispatch
+from zetalab.errors import (CoverageError, DomainError, IoError, MissedZeroError,
+                            OrderError, ParseError, RangeError)
 from zetalab.zero_catalog import (ZeroTable, export_zeros, find_zeros,
                                   import_zeros, load_or_find, verify_counts)
 from zetalab.zeta_engine import ZetaEngine
@@ -333,6 +334,23 @@ class TestCache:
         with pytest.raises(IoError):
             load_or_find(50.0, cache=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_truncated_cache_file_fails_the_census(self, tmp_path, capsys):
+        """A cache file cut short is refused on every read, by the API and the CLI."""
+        load_or_find(100.0, cache=tmp_path)
+        path = tmp_path / "zeros-tmax-100.0.txt"
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        ordinates = [line for line in lines if not line.startswith("#")]
+        assert len(ordinates) == 29
+        path.write_text("\n".join(header + ordinates[:10]) + "\n")
+        with pytest.raises(MissedZeroError):
+            load_or_find(100.0, cache=tmp_path)
+        for command in ("ftable", "zeros"):
+            assert cmd_dispatch([command, "--tmax", "100", "--cache", str(tmp_path)]) == 1
+            out = capsys.readouterr()
+            assert "census" in out.err
+            assert "FAIL" not in out.out
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         from zetalab.zero_catalog import cache_dir
