@@ -38,8 +38,7 @@ def _emit(table, path) -> None:
     """Write a table builder's (header, rows) as CSV to ``path``; None or '-' is stdout.
 
     The CSV is built in memory and a file is replaced atomically, so a
-    failed write leaves any previous file whole; a rerun rewrites it, so it
-    is not fsynced.
+    failed write leaves any previous file whole.
     """
     header, rows = table
     text = io.StringIO()
@@ -52,7 +51,7 @@ def _emit(table, path) -> None:
             return
     except OSError as exc:
         raise IoError(f"cannot write {path or '-'}: {exc}") from exc
-    zc._write_atomic(Path(path), text.getvalue(), durable=False)
+    zc._write_atomic(Path(path), text.getvalue())
 
 
 def _make_dir(path: Path) -> None:

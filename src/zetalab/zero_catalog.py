@@ -4,13 +4,21 @@ Zeros are located as sign changes of the Hardy Z function on a fixed scan
 grid and refined by the Illinois modified regula falsi (Dowell & Jarratt,
 BIT 11, 1971), run on all brackets at once: each round evaluates Z only at
 the false-position points of the brackets still wider than ``ROOT_TOL``.
+Those rounds never sum zeta again.  One arbitrary-point engine call gives
+the Taylor jet zeta^(j)(1/2 + ic), j <= ``JET``, at every bracket centre c,
+and each round evaluates Z from its bracket's jet by Horner's rule, the
+way Odlyzko & Schoenhage (Trans. AMS 309, 1988) step off their grid.
 The scan runs once: completeness is certified against the Riemann-von
 Mangoldt count, and a failed census raises ``MissedZeroError``.  All zeros
 are treated as simple.
+
+A written zeros file carries the sha256 digest of its ordinate lines, and
+every cache read checks it after the census.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import threading
@@ -23,13 +31,18 @@ import numpy as np
 
 from .errors import (CoverageError, DomainError, IoError, MissedZeroError,
                      OrderError, ParseError, RangeError)
-from .zeta_engine import TWO_PI, ZetaEngine
+from .zeta_engine import TWO_PI, ZetaEngine, riemann_siegel_theta_array
 
 SCAN_START = 2.0
 SCAN_STEP = 0.05
 ROOT_TOL = 1e-9
 #: Illinois rounds before the brackets still open fall back to bisection
 FALSE_POSITION_ROUNDS = 16
+#: top derivative order of the Taylor jet at each bracket centre; with a
+#: bracket radius of SCAN_STEP/2 the main-sum remainder
+#: sum_n n^{-1/2} (0.025 ln n)^{JET+1} / (JET+1)! is 1.9e-16 at t = 1000
+#: and 9.3e-15 at t = 6000
+JET = 10
 DEFAULT_PRECISION = 1e-9
 
 CACHE_ENV = "ZETALAB_CACHE"
@@ -124,10 +137,35 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float,
     return SCAN_START + SCAN_STEP * flips, z[flips], z[flips + 1]
 
 
+def _jet_coefficients(engine: ZetaEngine, centres: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of zeta(1/2 + ix) in x - c at every centre c.
+
+    Row m holds zeta^(j)(1/2 + i c_m) i^j / j! for j = 0..JET, from one
+    arbitrary-point engine call.
+    """
+    derivs, _ = engine._zeta_derivs(0.5 + 1j * centres, JET)
+    scale = np.array([1j ** j / math.factorial(j) for j in range(JET + 1)])
+    return derivs * scale
+
+
+def _jet_z(coeffs: np.ndarray, centres: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hardy Z at x[m] from the jet of row m: Re e^{i theta(x)} sum_j coeffs[m, j] (x - c)^j."""
+    h = x - centres
+    acc = coeffs[:, JET].copy()
+    for j in range(JET - 1, -1, -1):
+        acc *= h
+        acc += coeffs[:, j]
+    return np.real(np.exp(1j * riemann_siegel_theta_array(x)) * acc)
+
+
 def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
                      f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     """Shrink every sign-change bracket [lo, hi] to at most ROOT_TOL wide.
 
+    Z inside a bracket comes from the Taylor jet of zeta at its centre
+    (``_jet_coefficients``, one engine call for all brackets) and
+    ``_jet_z``; the brackets are at most SCAN_STEP wide, so the jet's
+    remainder is far below the Z values that decide a sign at ROOT_TOL.
     Illinois rounds over the active brackets: Z is evaluated at the
     false-position point, clamped ROOT_TOL/4 inside the bracket so a root
     next to an end still closes it, and an end kept twice in a row has its
@@ -137,6 +175,8 @@ def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
     Returns the midpoints of the final brackets.
     """
     lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    centres = 0.5 * (lo + hi)
+    coeffs = _jet_coefficients(engine, centres)
     moved = np.zeros(lo.size, dtype=np.int8)   # end the last point replaced: +1 lo, -1 hi
     active = np.flatnonzero(hi - lo > ROOT_TOL)
     rounds = 0
@@ -146,7 +186,7 @@ def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
             x = np.clip(a - fa * (b - a) / (fb - fa), a + ROOT_TOL / 4, b - ROOT_TOL / 4)
         else:
             x = 0.5 * (a + b)
-        fx = engine.hardy_z_points(x)
+        fx = _jet_z(coeffs[active], centres[active], x)
         rounds += 1
         to_lo = np.sign(fx) == np.sign(fa)
         last = moved[active]
@@ -169,8 +209,9 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
     Scans Z once from t=2 (the first zero is near 14.13; nothing lies below)
-    with step 0.05, refines each sign change by Illinois false position to
-    a bracket of width <= 1e-9 and returns its midpoint.  The brackets are
+    with step 0.05, refines each sign change by Illinois false position on
+    the Taylor jet of zeta at its centre to a bracket of width <= 1e-9 and
+    returns its midpoint.  The brackets are
     disjoint and increasing, so the ordinates come out sorted.  A failed
     census raises MissedZeroError.
     """
@@ -193,13 +234,20 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
 
 def import_zeros(path: str | os.PathLike) -> ZeroTable:
     """Read a zeros file: '#' metadata lines, then one ordinate per line."""
-    path = Path(path)
+    return _read_zeros(Path(path))[0]
+
+
+def _read_zeros(path: Path) -> tuple[ZeroTable, str | None, str]:
+    """The table in a zeros file, the digest its ``# sha256=`` header states
+    (None without one) and the sha256 of its ordinate lines."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     precision = DEFAULT_PRECISION
     t_max_header: float | None = None
+    stated: str | None = None
+    digest = hashlib.sha256()
     ordinates: list[float] = []
     prev = 0.0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -216,6 +264,8 @@ def import_zeros(path: str | os.PathLike) -> ZeroTable:
                         precision = float(val)
                     elif key == "t_max":
                         t_max_header = float(val)
+                    elif key == "sha256":
+                        stated = val.strip()
                 except ValueError as exc:
                     raise ParseError(f"bad metadata value {val!r}", line_no) from exc
             continue
@@ -230,9 +280,11 @@ def import_zeros(path: str | os.PathLike) -> ZeroTable:
         if g <= prev:
             raise OrderError(f"ordinate {g} not above previous {prev}", line_no)
         ordinates.append(g)
+        digest.update(f"{line}\n".encode())
         prev = g
     t_max = t_max_header if t_max_header is not None else (ordinates[-1] if ordinates else 0.0)
-    return ZeroTable(np.array(ordinates), t_max, "imported", precision)
+    return (ZeroTable(np.array(ordinates), t_max, "imported", precision),
+            stated, digest.hexdigest())
 
 
 def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
@@ -242,19 +294,21 @@ def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
     same decimal text; t_max is printed so that it parses back exactly.  A
     top ordinate that rounding to nearest would lift above t_max is rounded
     down instead, so the file never lists an ordinate beyond its own t_max.
+    The ``# sha256=`` header is the digest of the ordinate lines, each with
+    its line feed, which every cache read checks.
     """
-    path = Path(path)
-    lines = [
+    ords = [f"{g:.12f}" for g in table.ordinates]
+    if ords and float(ords[-1]) > table.t_max:
+        ords[-1] = f"{Decimal(table.ordinates[-1]).quantize(Decimal('1e-12'), ROUND_FLOOR):f}"
+    body = "".join(f"{g}\n" for g in ords)
+    header = [
         "# zetalab zeros table",
         f"# t_max={_t_max_text(table.t_max)}",
         f"# source={table.source}",
         f"# precision={table.precision:g}",
+        f"# sha256={hashlib.sha256(body.encode()).hexdigest()}",
     ]
-    ords = [f"{g:.12f}" for g in table.ordinates]
-    if ords and float(ords[-1]) > table.t_max:
-        ords[-1] = f"{Decimal(table.ordinates[-1]).quantize(Decimal('1e-12'), ROUND_FLOOR):f}"
-    lines.extend(ords)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(Path(path), "\n".join(header) + "\n" + body)
 
 
 def _t_max_text(t_max: float) -> str:
@@ -262,22 +316,19 @@ def _t_max_text(t_max: float) -> str:
     return repr(float(t_max))
 
 
-def _write_atomic(path: Path, text: str, durable: bool = True) -> None:
+def _write_atomic(path: Path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it onto `path`.
 
     A reader of `path` sees either the previous file or the complete new
-    one, never a partial write.  A durable write is fsynced before the
-    rename, so it also survives a crash; outputs that a rerun rewrites skip
-    that, since an fsynced file's blocks must later be freed on disk (24-44
-    ms per deleted file on ext4 mounted with ``discard``).
+    one, never a partial write.  Nothing is fsynced: an fsynced file's blocks
+    must later be freed on disk (24-44 ms per deleted file on ext4 mounted
+    with ``discard``), and a zeros file that a crash left short fails the
+    census or its digest on the next cache read.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "x") as fh:
             fh.write(text)
-            if durable:
-                fh.flush()
-                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -308,8 +359,10 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     digits).  The key is t_max alone, written exactly as in the file
     header, so every table is computed with the default engine and nearby
     heights get files of their own.  A height outside [20, 6000] is refused
-    before the cache directory is touched, and a table read from the cache
-    that fails the Riemann-von Mangoldt census raises MissedZeroError.
+    before the cache directory is touched.  Every read is checked, never
+    recomputed: a table that fails the Riemann-von Mangoldt census raises
+    MissedZeroError, and then a file without a ``# sha256=`` header, or
+    whose ordinate lines do not match it, raises ParseError.
     """
     _check_t_max(t_max)
     directory = cache_dir(cache)
@@ -321,7 +374,7 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
             raise IoError(f"cannot create {directory}: {exc}") from exc
         table = find_zeros(t_max, threads=threads)
         export_zeros(table, path)
-    table = import_zeros(path)
+    table, stated, actual = _read_zeros(path)
     if table.t_max != t_max or not len(table):
         raise ParseError(f"cache file {path} does not cover t_max={t_max}")
     report = verify_counts(table)
@@ -329,4 +382,7 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
         raise MissedZeroError(
             f"cache file {path} fails the census at t_max={t_max}: "
             f"{report.actual} zeros, expected {report.expected:.2f}")
+    if stated != actual:
+        raise ParseError(f"cache file {path}: ordinate lines have sha256 {actual}, "
+                         f"header states {stated}")
     return ZeroTable(table.ordinates, table.t_max, "computed", table.precision)

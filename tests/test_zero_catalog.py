@@ -13,7 +13,7 @@ from zetalab.errors import (CoverageError, DomainError, IoError, MissedZeroError
                             OrderError, ParseError, RangeError)
 from zetalab.zero_catalog import (ZeroTable, export_zeros, find_zeros,
                                   import_zeros, load_or_find, verify_counts)
-from zetalab.zeta_engine import ZetaEngine
+from zetalab.zeta_engine import STRICT, ZetaEngine, _main_sum_length
 
 # first ten ordinates, published values (good to ~1e-12 here)
 REFERENCE_ZEROS = [
@@ -104,20 +104,63 @@ class TestRefinement:
         assert np.all(np.sign(z_left) * np.sign(z_right) < 0)
 
     @pytest.mark.parametrize("t_max, zeros", [(200.0, 79), (1000.0, 649)])
-    def test_at_most_eight_points_per_bracket(self, t_max, zeros, monkeypatch):
+    def test_one_jet_call_and_at_most_eight_rounds(self, t_max, zeros, monkeypatch):
         engine = ZetaEngine()
-        sizes = []
+        brackets = zc._scan_sign_changes(engine, t_max)[0].size
+        jets, rounds = [], []
+        derivs, jet_z = engine._zeta_derivs, zc._jet_z
 
-        def counted(ts):
-            sizes.append(np.size(ts))
-            return ZetaEngine.hardy_z_points(engine, ts)
+        def counted_derivs(s, jmax, step=None):
+            if step is None:
+                jets.append((np.size(s), jmax))
+            return derivs(s, jmax, step)
 
-        monkeypatch.setattr(engine, "hardy_z_points", counted)
+        def counted_round(coeffs, centres, x):
+            rounds.append(np.size(x))
+            return jet_z(coeffs, centres, x)
+
+        monkeypatch.setattr(engine, "_zeta_derivs", counted_derivs)
+        monkeypatch.setattr(zc, "_jet_z", counted_round)
         tab = find_zeros(t_max, engine=engine)
         assert len(tab) == zeros
-        # every call is one round, so no bracket gets more points than calls
-        assert len(sizes) <= 8
-        assert sum(sizes) <= 8 * len(tab)
+        # zeta is summed at arbitrary heights once: the jets of all brackets
+        assert jets == [(brackets, zc.JET)]
+        # every Illinois round evaluates each active bracket once
+        assert rounds[0] == brackets
+        assert len(rounds) <= 8
+        assert sum(rounds) <= 8 * brackets
+
+    @pytest.mark.parametrize("t_max", [100.0, 1000.0, 6000.0])
+    def test_jet_agrees_with_hardy_z(self, t_max, engine):
+        """Z from the jet is Z from a direct sum within the jet's own bound.
+
+        The bound is sum_j err_j |h|^j / j! over the jet's entry errors, plus
+        the Taylor remainder, plus the direct sum's own error.  In the
+        remainder each main-sum term n^{-s_c} e^{-ih ln n} loses at most
+        n^{-1/2} (|h| ln n)^{J+1}/(J+1)!; the smooth part, below sqrt(N) in
+        size, is allowed 2 sqrt(N) (|h| (ln N + 1))^{J+1}/(J+1)!, the + 1
+        covering the derivatives of its 1/(s - 1) factor.
+        """
+        lo = zc._scan_sign_changes(engine, t_max)[0]
+        rng = np.random.default_rng(20240917)
+        pick = rng.choice(lo.size, size=min(lo.size, 200), replace=False)
+        centres = lo[pick] + 0.5 * zc.SCAN_STEP
+        x = lo[pick] + zc.SCAN_STEP * rng.random(pick.size)
+        got = zc._jet_z(zc._jet_coefficients(engine, centres), centres, x)
+        ref = engine.hardy_z_points(x)
+
+        _, err = engine._zeta_derivs(0.5 + 1j * centres, zc.JET)
+        _, ref_err = engine.zeta_derivs_points(0.5, x, 0)
+        h = np.abs(x - centres)
+        order = zc.JET + 1
+        powers = h[:, None] ** np.arange(order) / [math.factorial(j) for j in range(order)]
+        n_len = _main_sum_length(float(np.max(x)), STRICT)
+        logs = np.log(np.arange(1.0, n_len))
+        majorant = (np.sum(logs ** order / np.sqrt(np.arange(1.0, n_len)))
+                    + 2.0 * math.sqrt(n_len) * (math.log(n_len) + 1.0) ** order)
+        remainder = h ** order / math.factorial(order) * majorant
+        bound = np.sum(err * powers, axis=1) + remainder + ref_err[:, 0]
+        assert np.all(np.abs(got - ref) <= bound)
 
     def test_bisection_fallback_agrees(self, engine, table100, monkeypatch):
         monkeypatch.setattr(zc, "FALSE_POSITION_ROUNDS", 0)
@@ -324,13 +367,20 @@ class TestCache:
         assert back.t_max == t_max
         assert t_max - 1e-12 <= back.ordinates[-1] <= t_max
 
-    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    @pytest.mark.parametrize("step", ["write", "replace"])
     def test_failed_write_leaves_no_cache_entry(self, tmp_path, monkeypatch, step):
         """A write interrupted before or at the rename leaves nothing behind."""
         def fail(*args):
             raise OSError(f"simulated {step} failure")
 
-        monkeypatch.setattr(zc.os, step, fail)
+        def open_then_fail(*args):
+            open(*args).close()     # the temporary file exists when its write fails
+            fail()
+
+        if step == "write":
+            monkeypatch.setattr(zc, "open", open_then_fail, raising=False)
+        else:
+            monkeypatch.setattr(zc.os, step, fail)
         with pytest.raises(IoError):
             load_or_find(50.0, cache=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -351,6 +401,37 @@ class TestCache:
             out = capsys.readouterr()
             assert "census" in out.err
             assert "FAIL" not in out.out
+
+    @pytest.mark.parametrize("edit", ["digit", "no digest"])
+    def test_altered_cache_file_fails_its_digest(self, tmp_path, capsys, edit):
+        """A cache file that passes the census but not its digest is refused."""
+        load_or_find(100.0, cache=tmp_path)
+        path = tmp_path / "zeros-tmax-100.0.txt"
+        lines = path.read_text().splitlines()
+        if edit == "digit":
+            i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            lines[i] = lines[i][:-1] + str((int(lines[i][-1]) + 1) % 10)
+        else:
+            lines = [line for line in lines if not line.startswith("# sha256=")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="sha256") as err:
+            load_or_find(100.0, cache=tmp_path)
+        assert str(path) in str(err.value)
+        for command in ("ftable", "zeros"):
+            assert cmd_dispatch([command, "--tmax", "100", "--cache", str(tmp_path)]) == 1
+            out = capsys.readouterr()
+            assert "sha256" in out.err and str(path) in out.err
+            assert out.out == ""
+
+    def test_digest_covers_the_ordinate_lines(self, tmp_path, table100):
+        import hashlib
+        path = tmp_path / "z.txt"
+        export_zeros(table100, path)
+        lines = path.read_text().splitlines()
+        stated = [line for line in lines if line.startswith("# sha256=")]
+        body = "".join(f"{line}\n" for line in lines if not line.startswith("#"))
+        assert stated == [f"# sha256={hashlib.sha256(body.encode()).hexdigest()}"]
+        assert len(import_zeros(path)) == 29
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         from zetalab.zero_catalog import cache_dir
