@@ -7,8 +7,11 @@ difference (the kernels are even, so each such pair counts twice beside
 the n diagonal terms) and truncates at |g-g'| > cutoff, where the weight
 makes the remainder negligible; the brute-force oracle in the tests
 validates the truncation.  ``f_alpha`` is that sum with a cosine kernel;
-``f_grid`` samples the same sum on a uniform alpha grid by advancing each
-pair's phase with one complex multiply per sample.
+``f_grid`` samples the same sum on a uniform alpha grid as a grid-factored
+matrix product over blocks of pairs (Odlyzko & Schoenhage, Trans. AMS 309,
+1988): sample m = G q + r splits e^{i m theta} into an outer factor
+e^{i G q theta} and an inner factor e^{i r theta}, and one real GEMM per
+block of outer rows sums the pairs for G samples at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,15 @@ from .zero_catalog import ZeroTable
 
 #: largest number of alpha samples f_grid will allocate
 MAX_ALPHAS = 10 ** 6
+#: f_grid samples per inner factor (the G of m = G q + r); of 8, 16 and 32,
+#: 16 timed fastest on the 301-sample grids at T = 1000-3000
+GRID = 16
+#: pairs per block of f_grid's product; the inner factor of a block is
+#: GRID x PAIR_BLOCK complex numbers (2 MB)
+PAIR_BLOCK = 8192
+#: outer rows built per product, so a block's outer factor is at most
+#: ROWS x PAIR_BLOCK complex numbers (8 MB) whatever the sample count
+ROWS = 64
 
 
 def pair_weight(u):
@@ -117,9 +129,12 @@ def f_alpha(zeros: ZeroTable, t: float, alpha: float) -> float:
 def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float) -> FGrid:
     """Sample F on {0, step, ..., alpha_max}.
 
-    The grid is uniform, so each pair's phase e^{i alpha log T d} advances
-    by the fixed factor e^{i step log T d} from one sample to the next: a
-    sample costs one complex multiply and one dot product per pair.
+    The grid is uniform, so the off-diagonal sum at sample m = G q + r is
+    Re sum_p w_p e^{i G q theta_p} e^{i r theta_p}, theta_p = step log T d_p:
+    for each block of PAIR_BLOCK pairs the inner factor e^{-i r theta_p}
+    (r < G, conjugated) and the outer factor w_p e^{i G q theta_p} are built
+    by repeated multiplication, and each ROWS outer rows meet the inner
+    factor in one real GEMM of their interleaved (re, im) views.
     """
     _require_finite(t=t, alpha_max=alpha_max, step=step)
     if step <= 0:
@@ -137,13 +152,28 @@ def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float) -> FGrid:
         alphas = alphas[alphas <= alpha_max + 1e-12]
     n, diffs, weights = _pair_data(zeros, t)
     log_t = math.log(t)
-    phase = np.ones(diffs.size, dtype=complex)
-    turn = np.exp(1j * (step * log_t) * diffs)
-    off = np.empty(alphas.size)
-    for i in range(alphas.size):
-        off[i] = np.dot(weights, phase.real)
-        phase *= turn
-    values = (2.0 * math.pi / (t * log_t)) * (n + 2.0 * off)
+    rows = -(-alphas.size // GRID)
+    off = np.zeros((rows, GRID))
+    # one pair of buffers for every block, so one block's factors are live at a time
+    width = min(PAIR_BLOCK, diffs.size)
+    inner_buf = np.empty((GRID, width), dtype=complex)
+    outer_buf = np.empty((min(ROWS, rows), width), dtype=complex)
+    for lo in range(0, diffs.size, PAIR_BLOCK):
+        back = np.exp(-1j * (step * log_t) * diffs[lo:lo + PAIR_BLOCK])
+        inner = inner_buf[:, :back.size]
+        inner[0] = 1.0
+        for r in range(1, GRID):
+            np.multiply(inner[r - 1], back, out=inner[r])
+        lead = np.conj(inner[-1] * back)       # e^{i G theta}
+        row = weights[lo:lo + PAIR_BLOCK].astype(complex)
+        for q in range(0, rows, ROWS):
+            band = outer_buf[:min(ROWS, rows - q), :back.size]
+            band[0] = row
+            for j in range(1, len(band)):
+                np.multiply(band[j - 1], lead, out=band[j])
+            row = band[-1] * lead
+            off[q:q + len(band)] += band.view(float) @ inner.view(float).T
+    values = (2.0 * math.pi / (t * log_t)) * (n + 2.0 * off.ravel()[:alphas.size])
     return FGrid(t, alphas, values)
 
 

@@ -1,16 +1,18 @@
 """Pair statistics tests: brute-force equivalence, windows, GUE, asymptotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from zetalab.errors import CoverageError, DomainError, RangeError
-from zetalab.pair_correlation import (FGrid, _pair_data, f_alpha, f_grid,
-                                      f_window_integral, gue_integral,
-                                      montgomery_asymptotic, pair_count,
-                                      pair_cutoff, pair_sum, pair_weight)
+from zetalab.pair_correlation import (GRID, PAIR_BLOCK, ROWS, FGrid, _pair_data,
+                                      f_alpha, f_grid, f_window_integral,
+                                      gue_integral, montgomery_asymptotic,
+                                      pair_count, pair_cutoff, pair_sum,
+                                      pair_weight)
 from zetalab.zero_catalog import ZeroTable
 
 
@@ -105,6 +107,38 @@ class TestFGrid:
         for i in picks:
             direct = f_alpha(tab, 100.0, float(grid.alphas[i]))
             assert grid.values[i] == pytest.approx(direct, rel=1e-10)
+
+    def test_blocked_product_matches_pointwise_at_1500(self, zero_source):
+        """Several pair blocks, a short last one, and 301 samples (not a multiple of GRID)."""
+        tab = zero_source.table(1500.0)
+        n_pairs = _pair_data(tab, 1500.0)[1].size
+        assert n_pairs > 2 * PAIR_BLOCK and n_pairs % PAIR_BLOCK
+        grid = f_grid(tab, 1500.0, 6.0, 0.02)
+        assert grid.alphas.size == 301 and 301 % GRID
+        for a, v in zip(grid.alphas, grid.values):
+            assert v == pytest.approx(f_alpha(tab, 1500.0, float(a)), rel=1e-12)
+
+    def test_more_outer_rows_than_one_product_at_1000(self, zero_source):
+        """3,001 samples need more than ROWS outer rows; the result is reproducible."""
+        tab = zero_source.table(1000.0)
+        grid = f_grid(tab, 1000.0, 6.0, 0.002)
+        assert grid.alphas.size == 3001 and -(-3001 // GRID) > ROWS
+        for i in [*range(0, 3001, 103), 3000]:
+            assert grid.values[i] == pytest.approx(
+                f_alpha(tab, 1000.0, float(grid.alphas[i])), rel=1e-12)
+        again = f_grid(tab, 1000.0, 6.0, 0.002)
+        assert np.array_equal(grid.values.view(np.uint64), again.values.view(np.uint64))
+
+    def test_working_set_is_bounded(self, zero_source):
+        """Pair blocks keep the peak near 10 MB; one unblocked product would need ~3.8 GB."""
+        tab = zero_source.table(1000.0)
+        tracemalloc.start()
+        try:
+            f_grid(tab, 1000.0, 6.0, 0.002)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestPairSum:
