@@ -5,7 +5,8 @@ The three families are
 * ``h``: h_b(x) = b / (b^2 + x^2) = Re{ 1/(b + ix) },
 * ``l``: l_b(x) = (b^2 - x^2) / (b^2 + x^2)^2 = Re{ 1/(b + ix)^2 },
 * ``f``: f_k = Re{(-i)^k} h_b^(k) + Re{(-i)^(k+1)} l_b^(k-1), of which
-  exactly one term survives depending on the parity of k.
+  exactly one term survives depending on the parity of k; f_k is
+  ``KernelSpec("f", b, k)``, so even orders give f_2k = (-1)^k h_b^(2k).
 
 Every kernel of every order is one closed form,
 
@@ -45,44 +46,29 @@ FAMILIES = ("h", "l", "f")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One kernel function: family, width b, and derivative order.
+    """One kernel function: family, width b, and order.
 
-    For family ``f`` the derivative order is implied by ``k_parity_index``
-    and must not be set independently.
+    The order is the n of h_b^(n) and l_b^(n), and the k of f_k.
     """
 
     family: str
     b: float
     deriv_order: int = 0
-    k_parity_index: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
         if not (self.b > 0 and math.isfinite(self.b)):
             raise DomainError(f"kernel width b={self.b} must be positive")
-        if self.family == "f":
-            if self.k_parity_index is None or self.k_parity_index < 0:
-                raise DomainError("family f requires k_parity_index >= 0")
-            if self.deriv_order != 0:
-                raise DomainError(
-                    "family f derives its order from k_parity_index; "
-                    "deriv_order must be left at 0")
-            if self.k_parity_index > 16:
-                raise DomainError("k_parity_index above 16 unsupported")
-        else:
-            if self.k_parity_index is not None:
-                raise DomainError("k_parity_index is only valid for family f")
-            if not (0 <= self.deriv_order <= 16):
-                raise DomainError(f"deriv_order={self.deriv_order} outside [0, 16]")
+        if not (0 <= self.deriv_order <= 16):
+            raise DomainError(f"deriv_order={self.deriv_order} outside [0, 16]")
 
 
 def _closed_form(spec: KernelSpec) -> tuple[complex, int]:
     """(c, m) with kernel(x) = Re{ c m! (b + ix)^(-(m+1)) }."""
-    if spec.family == "f":
-        k = spec.k_parity_index
-        return (-1) ** k, k
     n = spec.deriv_order
+    if spec.family == "f":
+        return (-1) ** n, n
     return (-1j) ** n, n if spec.family == "h" else n + 1
 
 

@@ -181,8 +181,10 @@ def i_k_quadrature(k: int, a: float, t: float, engine: ZetaEngine) -> MomentEsti
 def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstimate:
     """Second moment from the Poisson-kernel pair sum over zero ordinates.
 
-    value = (-1)^k / (2^2k pi^2k) * (log T)^(2k+1)
-            * sum_{g,g'} (h_{a/pi})^(2k)((g-g') log T / 2 pi) w(g-g').
+    value = 1 / (2^2k pi^2k) * (log T)^(2k+1)
+            * sum_{g,g'} f_2k((g-g') log T / 2 pi) w(g-g'),
+
+    with f_2k = (-1)^k h^(2k) the kernel of width a/pi.
 
     The error channel carries the analytic remainder scale
     T (log T)^(2k+1) / a^(2k-1) + (log T)^(2k+4) / a^(2k+2) with unit
@@ -190,9 +192,9 @@ def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstima
     """
     _check_envelope(k, a, t)
     log_t = math.log(t)
-    spec = KernelSpec("h", a / math.pi, 2 * k)
+    spec = KernelSpec("f", a / math.pi, 2 * k)
     total = pair_sum(zeros, t, lambda d: kernel_eval(spec, d * (log_t / TWO_PI)))
-    pref = (-1.0) ** k / (2.0 ** (2 * k) * math.pi ** (2 * k)) * log_t ** (2 * k + 1)
+    pref = 1.0 / (2.0 ** (2 * k) * math.pi ** (2 * k)) * log_t ** (2 * k + 1)
     value = pref * total
     err = (t * log_t ** (2 * k + 1) / a ** (2 * k - 1)
            + log_t ** (2 * k + 4) / a ** (2 * k + 2))

@@ -83,6 +83,13 @@ def _require_finite(**values: float) -> None:
             raise DomainError(f"{name}={value} must be finite")
 
 
+def _log_height(t: float) -> float:
+    """log T, refusing T <= 1, where the pair scale 2 pi / log T is not positive."""
+    if t <= 1.0:
+        raise DomainError(f"T={t} must exceed 1")
+    return math.log(t)
+
+
 def _window_starts(zeros: ZeroTable, t: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """(ordinates up to t, index of the first ordinate within reach below each)."""
     zeros.require_coverage(t)
@@ -146,12 +153,12 @@ def f_grid(zeros: ZeroTable, t: float, alpha_max: float, step: float) -> FGrid:
     if alpha_max / step > MAX_ALPHAS:
         raise DomainError(
             f"alpha_max/step = {alpha_max / step:.3g} exceeds {MAX_ALPHAS} samples")
+    log_t = _log_height(t)
     count = int(round(alpha_max / step)) + 1
     alphas = step * np.arange(count)
     if alphas.size and alphas[-1] > alpha_max + 1e-12:
         alphas = alphas[alphas <= alpha_max + 1e-12]
     n, diffs, weights = _pair_data(zeros, t)
-    log_t = math.log(t)
     rows = -(-alphas.size // GRID)
     off = np.zeros((rows, GRID))
     # one pair of buffers for every block, so one block's factors are live at a time
@@ -207,9 +214,10 @@ def f_window_integral(grid: FGrid, b: float, ell: float) -> float:
 def pair_count(zeros: ZeroTable, t: float, beta: float) -> int:
     """N(beta, T): ordered pairs with 0 < g - g' <= 2 pi beta / log T."""
     _require_finite(t=t, beta=beta)
+    log_t = _log_height(t)
     if beta <= 0:
         return 0
-    g, lo = _window_starts(zeros, t, 2.0 * math.pi * beta / math.log(t))
+    g, lo = _window_starts(zeros, t, 2.0 * math.pi * beta / log_t)
     return int(np.sum(np.arange(g.size) - lo))
 
 

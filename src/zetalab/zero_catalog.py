@@ -143,7 +143,7 @@ def _jet_coefficients(engine: ZetaEngine, centres: np.ndarray) -> np.ndarray:
     Row m holds zeta^(j)(1/2 + i c_m) i^j / j! for j = 0..JET, from one
     arbitrary-point engine call.
     """
-    derivs, _ = engine._zeta_derivs(0.5 + 1j * centres, JET)
+    derivs, _ = engine.zeta_derivs_points(0.5, centres, JET)
     scale = np.array([1j ** j / math.factorial(j) for j in range(JET + 1)])
     return derivs * scale
 

@@ -50,14 +50,26 @@ class TestClosedForms:
         b = 0.6
         x = 0.8
         # k even: Re{(-i)^k} h^(k); k odd: Re{(-i)^(k+1)} l^(k-1)
-        assert kernel_eval(KernelSpec("f", b, k_parity_index=0), x) \
+        assert kernel_eval(KernelSpec("f", b, 0), x) \
             == pytest.approx(kernel_eval(KernelSpec("h", b, 0), x))
-        assert kernel_eval(KernelSpec("f", b, k_parity_index=1), x) \
+        assert kernel_eval(KernelSpec("f", b, 1), x) \
             == pytest.approx(-kernel_eval(KernelSpec("l", b, 0), x))
-        assert kernel_eval(KernelSpec("f", b, k_parity_index=2), x) \
+        assert kernel_eval(KernelSpec("f", b, 2), x) \
             == pytest.approx(-kernel_eval(KernelSpec("h", b, 2), x))
-        assert kernel_eval(KernelSpec("f", b, k_parity_index=3), x) \
+        assert kernel_eval(KernelSpec("f", b, 3), x) \
             == pytest.approx(kernel_eval(KernelSpec("l", b, 2), x))
+
+    def test_even_f_is_signed_even_h_exactly(self):
+        """f_2k = (-1)^k h^(2k) bit for bit, the identity i_k_from_zeros rests on."""
+        xs = np.array([0.0, -0.0, 1e-300, 0.41, -2.5, 37.0, -1e3, 1e8, -1e15])
+        for b in (0.05, 0.6, 3.0):
+            for k in range(9):
+                f = kernel_eval(KernelSpec("f", b, 2 * k), xs)
+                h = (-1) ** k * kernel_eval(KernelSpec("h", b, 2 * k), xs)
+                assert np.all(f == h)
+                for x in xs:
+                    assert kernel_eval(KernelSpec("f", b, 2 * k), float(x)) \
+                        == (-1) ** k * kernel_eval(KernelSpec("h", b, 2 * k), float(x))
 
     def test_diagonal_positivity(self):
         for b in (0.1, 0.5, 2.0):
@@ -75,15 +87,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             KernelSpec("h", 0.0)
 
-    def test_f_requires_parity_index(self):
-        with pytest.raises(DomainError):
-            KernelSpec("f", 1.0)
-        with pytest.raises(DomainError):
-            KernelSpec("f", 1.0, deriv_order=2, k_parity_index=2)
-
     def test_order_cap(self):
-        with pytest.raises(DomainError):
-            KernelSpec("h", 1.0, 17)
+        for spec in (("h", 1.0, 17), ("f", 1.0, 17)):
+            with pytest.raises(DomainError):
+                KernelSpec(*spec)
 
 
 class TestProperties:
@@ -150,9 +157,9 @@ class TestFourier:
         KernelSpec("h", 1.0, 4), KernelSpec("h", 0.3, 4),
         KernelSpec("l", 1.0, 2), KernelSpec("l", 1.0, 4),
         KernelSpec("h", 1.0, 6), KernelSpec("h", 1.0, 8),
-        KernelSpec("f", 0.7, k_parity_index=1), KernelSpec("f", 0.7, k_parity_index=2),
-        KernelSpec("f", 0.7, k_parity_index=3), KernelSpec("f", 0.7, k_parity_index=4),
-        KernelSpec("f", 0.7, k_parity_index=8),
+        KernelSpec("f", 0.7, 1), KernelSpec("f", 0.7, 2),
+        KernelSpec("f", 0.7, 3), KernelSpec("f", 0.7, 4),
+        KernelSpec("f", 0.7, 8),
     ], ids=str)
     def test_quadrature_agreement(self, spec):
         for y in (0.0, 0.3, 1.0, 2.0):
@@ -166,7 +173,7 @@ class TestFourier:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_convolution_identity(self, k):
         """(f*f)(y) equals the transform of fhat^2, anchoring the pair chain."""
-        spec = KernelSpec("f", 0.6, k_parity_index=k)
+        spec = KernelSpec("f", 0.6, k)
         for y in (0.0, 0.5):
             conv, _ = quad(lambda u: kernel_eval(spec, u) * kernel_eval(spec, y - u),
                            -np.inf, np.inf, limit=800)

@@ -12,9 +12,10 @@ from scipy.special import gammainc
 from zetalab import kernels, pair_correlation, zero_catalog, zeta_engine
 from zetalab import moments as mo
 from zetalab.errors import DivisionError, DomainError, RangeError
-from zetalab.pair_correlation import FGrid, f_grid
+from zetalab.kernels import KernelSpec, kernel_eval
+from zetalab.pair_correlation import FGrid, f_grid, pair_sum
 from zetalab.zero_catalog import ZeroTable
-from zetalab.zeta_engine import EmProfile, EvalPoint, ZetaEngine
+from zetalab.zeta_engine import TWO_PI, EmProfile, EvalPoint, ZetaEngine
 
 T_UNIT = 500.0
 A_UNIT = 1.0
@@ -143,6 +144,19 @@ class TestZeroPairSum:
         want = (-1.0) ** k / (2.0 * math.pi) ** n * log_t ** (n + 1) * acc
         got = mo.i_k_from_zeros(k, a, t, tab).value
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_f_kernel_matches_the_signed_h_sum_at_1000(self, zero_source, k):
+        """The f_2k pair sum is the (-1)^k h^(2k) pair sum bit for bit."""
+        t = 1000.0
+        tab = zero_source.table(t)
+        log_t = math.log(t)
+        for a in (0.5, 1.0, 2.0):
+            spec = KernelSpec("h", a / math.pi, 2 * k)
+            total = pair_sum(tab, t, lambda d: kernel_eval(spec, d * (log_t / TWO_PI)))
+            want = ((-1.0) ** k / (2.0 ** (2 * k) * math.pi ** (2 * k))
+                    * log_t ** (2 * k + 1) * total)
+            assert mo.i_k_from_zeros(k, a, t, tab).value == want
 
     def test_diagonal_sign_and_scale(self, zero_source):
         tab = zero_source.table(T_UNIT)

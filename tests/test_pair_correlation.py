@@ -83,6 +83,9 @@ class TestFGrid:
             f_grid(tab, 100.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             f_grid(tab, 100.0, 9.0, 0.5)
+        for t in (1.0, 0.5):   # log T <= 0
+            with pytest.raises(DomainError):
+                f_grid(tab, t, 1.0, 0.5)
         with pytest.raises(DomainError):
             FGrid(100.0, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
@@ -228,6 +231,16 @@ class TestPairCount:
         for beta in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 pair_count(tab, 100.0, beta)
+
+    def test_height_at_most_one_refused(self):
+        """log T <= 0 makes the window 2 pi beta / log T meaningless."""
+        tab = ZeroTable(np.array([14.134725, 21.022040]), 30.0)
+        for t in (1.0, 0.5, -3.0):
+            for beta in (1.0, 0.0):
+                with pytest.raises(DomainError):
+                    pair_count(tab, t, beta)
+        assert pair_count(tab, 30.0, 1.0) == 0
+        assert pair_count(tab, 30.0, 10.0) == 1
 
     def test_monotone_in_beta(self, zero_source):
         tab = zero_source.table(100.0)
