@@ -15,9 +15,9 @@ from .moments import (MomentEstimate, d_k, i_k_from_f, i_k_from_zeros,
                       i_k_quadrature, i_k_quadrature_batch)
 from .pair_correlation import (FGrid, f_alpha, f_grid, f_window_integral,
                                gue_integral, montgomery_asymptotic, pair_count)
-from .predictions import (CoefficientResult, TauberianReport, coefficient_c,
-                          coefficient_d, gr_identity_residual,
-                          tauberian_compare, window_mass_sup)
+from .predictions import (TauberianReport, coefficient_c, coefficient_d,
+                          gr_identity_residual, tauberian_compare,
+                          window_mass_sup)
 from .zero_catalog import (CountReport, ZeroTable, export_zeros, find_zeros,
                            import_zeros, load_or_find, rvm_expected_count,
                            verify_counts)
@@ -27,8 +27,8 @@ from .zeta_engine import (STRICT, ComplexEval, EmProfile, EvalPoint,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientResult", "ComplexEval", "CountReport", "CoverageError",
-    "DivisionError", "DomainError", "EmProfile", "EvalPoint", "FGrid",
+    "ComplexEval", "CountReport", "CoverageError", "DivisionError",
+    "DomainError", "EmProfile", "EvalPoint", "FGrid",
     "IoError", "KernelSpec", "MissedZeroError", "MomentEstimate",
     "NearZeroError", "OrderError", "ParseError", "PrecisionError",
     "RangeError", "STRICT", "TauberianReport", "UnsupportedError",

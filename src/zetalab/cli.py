@@ -51,7 +51,7 @@ def _emit(table, path) -> None:
             return
     except OSError as exc:
         raise IoError(f"cannot write {path or '-'}: {exc}") from exc
-    zc._write_atomic(Path(path), text.getvalue())
+    zc.write_atomic(Path(path), text.getvalue())
 
 
 def _make_dir(path: Path) -> None:
@@ -87,10 +87,10 @@ def _check_cells(ks, a_list, t, discrete=False):
     """Refuse a (k, a) outside the moment envelope, and with ``discrete`` a 2a, before any work."""
     for a in a_list:
         for k in ks:
-            mo._check_envelope(k, a, t)
+            mo.check_envelope(k, a, t)
             if discrete:
                 try:
-                    mo._check_envelope(k, 2.0 * a, t)
+                    mo.check_envelope(k, 2.0 * a, t)
                 except DomainError as exc:
                     raise DomainError(f"a={a}: D_k(2a,T) needs 2a={2.0 * a} inside "
                                       f"the envelope ({exc})") from exc
@@ -132,7 +132,7 @@ def _moments(ks, a_list, t, methods, quads, table, grid):
             ests = [(over, estimate(i, k, a)) for _, _, over, estimate in routes]
             rows.append([k, a, t, *(x for _, e in ests for x in (e.value, e.err_estimate)),
                          *(e.value / ests[0][1].value for over, e in ests if ratio and over),
-                         pred.coefficient_c(k, a).value * t * math.log(t) ** (2 * k + 2)])
+                         pred.coefficient_c(k, a) * t * math.log(t) ** (2 * k + 2)])
     return header, rows
 
 
@@ -143,14 +143,14 @@ def _discrete(ks, a_list, t, quads, table):
         for i, k in enumerate(ks):
             d_est = mo.d_k(k, 2.0 * a, t, table, ZetaEngine())
             rows.append([k, a, t, 2.0 * math.pi * d_est.value, quads[a][i].value,
-                         mo._ratio_of(quads[a][i], d_est)])
+                         mo.ratio_of(quads[a][i], d_est)])
     return ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"], rows
 
 
 def _identity(ks):
     cells = [(k, a) for k in ks for a in IDENTITY_A_GRID]
     for k, a in cells:
-        pred._validate(k, a)  # refuse an order above the limit before any quadrature
+        pred.validate(k, a)  # refuse an order above the limit before any quadrature
     return ["k", "a", "gr_residual"], [[k, a, pred.gr_identity_residual(k, a)] for k, a in cells]
 
 
@@ -197,7 +197,7 @@ def cmd_discrete(args) -> int:
 def cmd_predict(args) -> int:
     k, a = args.k, args.a
     _emit((["k", "a", "coefficient_c", "coefficient_d"],
-           [[k, a, pred.coefficient_c(k, a).value, pred.coefficient_d(k, a).value]]), args.out)
+           [[k, a, pred.coefficient_c(k, a), pred.coefficient_d(k, a)]]), args.out)
     return 0
 
 

@@ -73,12 +73,16 @@ def _closed_form(spec: KernelSpec) -> tuple[complex, int]:
 
 
 def _inv_power(b: float, m: int, x):
-    """(b + ix)^(-m) as b^(-m) (1 + ix/b)^(-m).
+    """(b + ix)^(-m) as b^(-m) w^m with w = 1/(1 + ix/b).
 
     Raising b + ix itself would scale its imaginary part by b^(m-1) and
     underflow into subnormals for tiny x, losing relative precision.
+    |w| <= 1, so w^m cannot overflow, where (1 + ix/b)^m does once
+    |x/b|^m passes the float range and its reciprocal comes back nan.
+    numpy's general complex power costs three reciprocals, hence m = 1 apart.
     """
-    return b ** (-m) * (1.0 + 1j * (np.asarray(x) / b)) ** (-m)
+    w = np.reciprocal(1.0 + 1j * (np.asarray(x) / b))
+    return b ** (-m) * (w if m == 1 else w ** m)
 
 
 def kernel_eval(spec: KernelSpec, x):

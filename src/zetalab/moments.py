@@ -10,7 +10,7 @@ t in [1, T].  It is computed
   (``i_k_from_zeros``, one ``pair_correlation.pair_sum`` call);
 * from the sampled pair-correlation function (``i_k_from_f``).
 
-D_k(a,T) sums (zeta'/zeta)^(2k) right of each zero (``d_k``); ``_ratio_of``
+D_k(a,T) sums (zeta'/zeta)^(2k) right of each zero (``d_k``); ``ratio_of``
 forms I_k(a,T) / (2 pi D_k(2a,T)) for the CLI's discrete table.
 
 The quadrature reads no zero table and never touches the zero-sum
@@ -68,7 +68,7 @@ class MomentEstimate:
             raise DomainError("err_estimate must be finite and nonnegative")
 
 
-def _check_envelope(k: int, a: float, t: float) -> None:
+def check_envelope(k: int, a: float, t: float) -> None:
     """Supported envelope is k <= 4, a in [0.1, 5], T in [200, 6000].
 
     T below 200 is tolerated for degenerate unit checks; T above 6000 and
@@ -135,7 +135,7 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float,
     if not ks:
         raise DomainError("no orders k requested")
     for k in ks:
-        _check_envelope(k, a, t)
+        check_envelope(k, a, t)
     log_t = math.log(t)
     sigma = 0.5 + a / log_t
     # the floor keeps the two end corrections of the halved rule apart
@@ -190,7 +190,7 @@ def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstima
     T (log T)^(2k+1) / a^(2k-1) + (log T)^(2k+4) / a^(2k+2) with unit
     constant, reported alongside rather than added to the value.
     """
-    _check_envelope(k, a, t)
+    check_envelope(k, a, t)
     log_t = math.log(t)
     spec = KernelSpec("f", a / math.pi, 2 * k)
     total = pair_sum(zeros, t, lambda d: kernel_eval(spec, d * (log_t / TWO_PI)))
@@ -213,7 +213,7 @@ def i_k_from_f(k: int, a: float, t: float, grid: FGrid) -> MomentEstimate:
     combines the trapezoid step-doubling difference with the truncated-tail
     bound (F frozen at its last sampled value beyond the grid).
     """
-    _check_envelope(k, a, t)
+    check_envelope(k, a, t)
     if grid.T != t:
         raise DomainError(f"grid was sampled at T={grid.T}, not {t}")
     if grid.alpha_max < 4.0:
@@ -247,7 +247,7 @@ def d_k(k: int, a: float, t: float, zeros: ZeroTable,
     channel holds the imaginary part as a sanity signal plus the sum of the
     engine's propagated per-zero errors of order 2k.
     """
-    _check_envelope(k, a, t)
+    check_envelope(k, a, t)
     zeros.require_coverage(t)
     g = zeros.ordinates[zeros.ordinates <= t]
     if g.size == 0:
@@ -260,7 +260,8 @@ def d_k(k: int, a: float, t: float, zeros: ZeroTable,
     return MomentEstimate("D_discrete", k, a, t, total.real, err)
 
 
-def _ratio_of(i_est: MomentEstimate, d_est: MomentEstimate) -> float:
+def ratio_of(i_est: MomentEstimate, d_est: MomentEstimate) -> float:
+    """I_k(a,T) / (2 pi D_k(2a,T)); DivisionError when 2 pi D_k is within its error of 0."""
     denom = TWO_PI * d_est.value
     if abs(denom) <= TWO_PI * d_est.err_estimate:
         raise DivisionError(

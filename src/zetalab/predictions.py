@@ -33,22 +33,8 @@ from .pair_correlation import FGrid, f_window_integral
 _K_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class CoefficientResult:
-    k: int
-    a: float
-    value: float
-    target: str  # "I_continuous" or "D_discrete"
-
-    def __post_init__(self):
-        if self.target not in ("I_continuous", "D_discrete"):
-            raise DomainError(f"unknown coefficient target {self.target!r}")
-        if not self.value > 0.0:
-            raise DomainError(
-                f"coefficient must be positive, got {self.value} (k={self.k}, a={self.a})")
-
-
-def _validate(k: int, a: float) -> None:
+def validate(k: int, a: float) -> None:
+    """Refuse a negative k, a k above the factorial limit, or a nonpositive a."""
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k > _K_LIMIT:
@@ -74,16 +60,23 @@ def _closed_form(k: int, twoa) -> float:
     return head - tail
 
 
-def coefficient_c(k: int, a: float) -> CoefficientResult:
+def _positive(value: float, k: int, a: float) -> float:
+    """``value``, or DomainError when the closed form is not positive (a fault)."""
+    if not value > 0.0:
+        raise DomainError(f"coefficient must be positive, got {value} (k={k}, a={a})")
+    return value
+
+
+def coefficient_c(k: int, a: float) -> float:
     """Predicted coefficient of T (log T)^(2k+2) in the continuous moment."""
-    _validate(k, a)
-    return CoefficientResult(k, a, _closed_form(k, 2.0 * a), "I_continuous")
+    validate(k, a)
+    return _positive(_closed_form(k, 2.0 * a), k, a)
 
 
-def coefficient_d(k: int, a: float) -> CoefficientResult:
+def coefficient_d(k: int, a: float) -> float:
     """Predicted coefficient for the discrete moment: c_k(a/2) / (2 pi)."""
-    _validate(k, a)
-    return CoefficientResult(k, a, _closed_form(k, a) / (2.0 * math.pi), "D_discrete")
+    validate(k, a)
+    return _positive(_closed_form(k, a) / (2.0 * math.pi), k, a)
 
 
 #: nodes of each Gauss rule behind the identity residual
@@ -131,7 +124,7 @@ def gr_identity_residual(k: int, a: float) -> float:
     e^(-2a)/(2a) int_0^inf (1 + u/(2a))^(2k) e^(-u) du, which Gauss-Laguerre
     integrates exactly for 2k <= 2 _GL_NODES - 1.
     """
-    _validate(k, a)
+    validate(k, a)
     x, w, u, v = _gauss_rules(_GL_NODES)
     twoa = np.longdouble(2.0) * np.longdouble(a)
 
@@ -184,7 +177,7 @@ def tauberian_compare(grid: FGrid, k: int, b: float) -> TauberianReport:
     rhs_A = int_0^inf (u+1)^2k e^(-bu) du  (exact via binomial expansion),
     window_averages = mean of F(u+1) over u in (0,1), (1,2), (0,2).
     """
-    _validate(k, b)
+    validate(k, b)
     if grid.alpha_max < 3.0:
         raise RangeError("grid must reach alpha >= 3 for the shifted windows")
     sel = grid.alphas >= 1.0

@@ -12,8 +12,9 @@ The scan runs once: completeness is certified against the Riemann-von
 Mangoldt count, and a failed census raises ``MissedZeroError``.  All zeros
 are treated as simple.
 
-A written zeros file carries the sha256 digest of its ordinate lines, and
-every cache read checks it after the census.
+A written zeros file carries the sha256 digest of its ordinate lines and
+its source.  Every cache read checks the digest after the census, then
+refuses a file that does not state ``source=computed``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ FALSE_POSITION_ROUNDS = 16
 #: sum_n n^{-1/2} (0.025 ln n)^{JET+1} / (JET+1)! is 1.9e-16 at t = 1000
 #: and 9.3e-15 at t = 6000
 JET = 10
-DEFAULT_PRECISION = 1e-9
 
 CACHE_ENV = "ZETALAB_CACHE"
 DEFAULT_CACHE = "./zetalab-cache"
@@ -56,7 +56,6 @@ class ZeroTable:
     ordinates: np.ndarray
     t_max: float
     source: str = "computed"
-    precision: float = DEFAULT_PRECISION
 
     def __post_init__(self):
         arr = np.asarray(self.ordinates, dtype=float)
@@ -81,7 +80,7 @@ class ZeroTable:
         """Sub-table covering (0, t]; requires t <= t_max."""
         self.require_coverage(t)
         cut = int(np.searchsorted(self.ordinates, t, side="right"))
-        return ZeroTable(self.ordinates[:cut].copy(), t, self.source, self.precision)
+        return ZeroTable(self.ordinates[:cut].copy(), t, self.source)
 
     def require_coverage(self, t: float) -> None:
         if not t <= self.t_max:
@@ -219,7 +218,7 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     engine = engine or ZetaEngine()
     lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, threads)
     ords = _refine_brackets(engine, lo, lo + SCAN_STEP, z_lo, z_hi)
-    table = ZeroTable(ords[ords <= t_max], t_max, "computed", DEFAULT_PRECISION)
+    table = ZeroTable(ords[ords <= t_max], t_max, "computed")
     report = verify_counts(table)
     if not report.passed:
         raise MissedZeroError(
@@ -237,16 +236,15 @@ def import_zeros(path: str | os.PathLike) -> ZeroTable:
     return _read_zeros(Path(path))[0]
 
 
-def _read_zeros(path: Path) -> tuple[ZeroTable, str | None, str]:
-    """The table in a zeros file, the digest its ``# sha256=`` header states
-    (None without one) and the sha256 of its ordinate lines."""
+def _read_zeros(path: Path) -> tuple[ZeroTable, dict[str, str], str]:
+    """The table in a zeros file, its ``# key=value`` header lines as a dict
+    and the sha256 of its ordinate lines.  The table is labelled imported."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    precision = DEFAULT_PRECISION
+    header: dict[str, str] = {}
     t_max_header: float | None = None
-    stated: str | None = None
     digest = hashlib.sha256()
     ordinates: list[float] = []
     prev = 0.0
@@ -255,17 +253,12 @@ def _read_zeros(path: Path) -> tuple[ZeroTable, str | None, str]:
         if not line:
             continue
         if line.startswith("#"):
-            meta = line[1:].strip()
-            if "=" in meta:
-                key, _, val = meta.partition("=")
-                key = key.strip()
+            key, eq, val = (part.strip() for part in line[1:].partition("="))
+            if eq:
+                header[key] = val
                 try:
-                    if key == "precision":
-                        precision = float(val)
-                    elif key == "t_max":
+                    if key == "t_max":
                         t_max_header = float(val)
-                    elif key == "sha256":
-                        stated = val.strip()
                 except ValueError as exc:
                     raise ParseError(f"bad metadata value {val!r}", line_no) from exc
             continue
@@ -283,8 +276,7 @@ def _read_zeros(path: Path) -> tuple[ZeroTable, str | None, str]:
         digest.update(f"{line}\n".encode())
         prev = g
     t_max = t_max_header if t_max_header is not None else (ordinates[-1] if ordinates else 0.0)
-    return (ZeroTable(np.array(ordinates), t_max, "imported", precision),
-            stated, digest.hexdigest())
+    return ZeroTable(np.array(ordinates), t_max, "imported"), header, digest.hexdigest()
 
 
 def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
@@ -305,10 +297,9 @@ def export_zeros(table: ZeroTable, path: str | os.PathLike) -> None:
         "# zetalab zeros table",
         f"# t_max={_t_max_text(table.t_max)}",
         f"# source={table.source}",
-        f"# precision={table.precision:g}",
         f"# sha256={hashlib.sha256(body.encode()).hexdigest()}",
     ]
-    _write_atomic(Path(path), "\n".join(header) + "\n" + body)
+    write_atomic(Path(path), "\n".join(header) + "\n" + body)
 
 
 def _t_max_text(t_max: float) -> str:
@@ -316,7 +307,7 @@ def _t_max_text(t_max: float) -> str:
     return repr(float(t_max))
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it onto `path`.
 
     A reader of `path` sees either the previous file or the complete new
@@ -361,8 +352,9 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     heights get files of their own.  A height outside [20, 6000] is refused
     before the cache directory is touched.  Every read is checked, never
     recomputed: a table that fails the Riemann-von Mangoldt census raises
-    MissedZeroError, and then a file without a ``# sha256=`` header, or
-    whose ordinate lines do not match it, raises ParseError.
+    MissedZeroError, then a file without a ``# sha256=`` header, or whose
+    ordinate lines do not match it, raises ParseError, and so does a file
+    that does not state ``# source=computed``.
     """
     _check_t_max(t_max)
     directory = cache_dir(cache)
@@ -374,7 +366,7 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
             raise IoError(f"cannot create {directory}: {exc}") from exc
         table = find_zeros(t_max, threads=threads)
         export_zeros(table, path)
-    table, stated, actual = _read_zeros(path)
+    table, header, actual = _read_zeros(path)
     if table.t_max != t_max or not len(table):
         raise ParseError(f"cache file {path} does not cover t_max={t_max}")
     report = verify_counts(table)
@@ -382,7 +374,10 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
         raise MissedZeroError(
             f"cache file {path} fails the census at t_max={t_max}: "
             f"{report.actual} zeros, expected {report.expected:.2f}")
-    if stated != actual:
+    if header.get("sha256") != actual:
         raise ParseError(f"cache file {path}: ordinate lines have sha256 {actual}, "
-                         f"header states {stated}")
-    return ZeroTable(table.ordinates, table.t_max, "computed", table.precision)
+                         f"header states {header.get('sha256')}")
+    if header.get("source") != "computed":
+        raise ParseError(f"cache file {path} states source={header.get('source')}; "
+                         "the cache holds computed tables only")
+    return ZeroTable(table.ordinates, table.t_max, "computed")

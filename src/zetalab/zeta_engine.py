@@ -7,25 +7,26 @@ bounded through the first omitted correction term.  One block kernel,
 differentiated smooth part for a block of points, with per-order
 truncation and rounding bounds, and every public operation is built on it:
 
-* single points: ``zeta_derivatives`` and ``log_derivative_k`` take the
-  derivative columns of a block of one point, summed with the fixed profile
-  ``ZetaEngine.SINGLE`` so that every order up to j = 9 stays below the
-  1e-8 target up to t = 6000, and carry each column's own bound through
-  the log-derivative recursion;
+* scalars: ``zeta``, ``hardy_z``, ``zeta_derivatives`` and
+  ``log_derivative_k`` take the derivative columns of a block of one
+  point, summed with the fixed profile ``ZetaEngine.SINGLE`` so that every
+  order up to j = 9 stays below the 1e-8 target up to t = 6000, whatever
+  the engine's own profile, and carry each column's own bound through the
+  log-derivative recursion;
 * bulk sweeps along a vertical line: ``zeta_derivs_uniform``/``_points``
   feed the kernel block by block through ``ZetaEngine._zeta_derivs``,
-  which vectorizes over thousands of heights at once and is the only
-  affordable option for the moment quadratures.
+  with the engine's profile; they vectorize over thousands of heights at
+  once and are the only affordable option for the moment quadratures.
 
 Every block's main sum is one complex product outer @ kernel: the rows of
 ``outer`` are n^{-s} at row anchors, and the kernel is the weights
 (-ln n)^j, for a uniform sweep times the phases n^{-i r step} of the
 ``GRID`` points of a row (Odlyzko & Schoenhage, Trans. AMS 309, 1988).
 Uniform sweeps go in ``ZetaEngine.CHUNK`` blocks in input order.  Arbitrary
-heights (``zeta_points``, ``zeta_derivs_points``, ``log_deriv_line``,
-``hardy_z_points``) are sorted by |Im s| and go in bands of
-``ZetaEngine.BAND`` points, one per row, so a band of low points does not
-pay the main-sum length of the highest one.  Bulk errors are per point, as
+heights (``zeta_derivs_points``, ``log_deriv_line``, ``hardy_z_points``)
+are sorted by |Im s| and go in bands of ``ZetaEngine.BAND`` points, one
+per row, so a band of low points does not pay the main-sum length of the
+highest one.  Bulk errors are per point, as
 for single points: each entry carries its block's truncation plus rounding
 bound, and ``log_deriv_uniform``/``_line`` carry these through the same
 log-derivative recursion to one error per point and order.
@@ -284,18 +285,6 @@ class ZetaEngine:
             err[idx] = trunc + rounding
         return out, err
 
-    # -- raw zeta at arbitrary complex points ------------------------------
-
-    def zeta_points(self, s: np.ndarray) -> tuple[np.ndarray, float]:
-        """zeta(s) for an array of complex points, plus the largest entry error."""
-        s = np.asarray(s, dtype=complex)
-        vals, err = self._zeta_derivs(s.ravel(), 0)
-        return vals[:, 0].reshape(s.shape), float(np.max(err[:, 0], initial=0.0))
-
-    def zeta(self, s: complex) -> ComplexEval:
-        v, e = self.zeta_points(np.array([s], dtype=complex))
-        return ComplexEval(complex(v[0]), e)
-
     # -- derivatives along a vertical line (bulk) --------------------------
 
     def zeta_derivs_uniform(self, sigma: float, t0: float, step: float,
@@ -359,7 +348,7 @@ class ZetaEngine:
 
     # -- public single-point operations ------------------------------------
 
-    def _single_point(self, p: EvalPoint, jmax: int) -> tuple[np.ndarray, np.ndarray]:
+    def _single_point(self, s: complex, jmax: int) -> tuple[np.ndarray, np.ndarray]:
         """zeta^(j)(s), j <= jmax, from one ``SINGLE`` block, with per-entry errors.
 
         The error of entry j is its truncation bound plus its rounding
@@ -368,7 +357,6 @@ class ZetaEngine:
         """
         if not (0 <= jmax <= 12):
             raise DomainError(f"jmax={jmax} outside [0, 12]")
-        s = p.s
         if abs(s - 1.0) < 2e-3:
             raise DomainError("s within 2e-3 of the pole s = 1")
         vals, trunc, rounding = _em_block(np.array([s]), jmax, self.SINGLE, None)
@@ -376,6 +364,11 @@ class ZetaEngine:
             raise PrecisionError(
                 f"zeta^({jmax})({s}) truncation bound {trunc[-1]:.2e} exceeds 1e-8")
         return vals[0], trunc + rounding
+
+    def zeta(self, s: complex) -> ComplexEval:
+        """zeta(s) as entry 0 of :meth:`zeta_derivatives`, for a complex s."""
+        vals, errs = self._single_point(complex(s), 0)
+        return ComplexEval(complex(vals[0]), float(errs[0]))
 
     def zeta_derivatives(self, p: EvalPoint, jmax: int) -> list[ComplexEval]:
         """zeta^(j)(s) for j = 0..jmax with per-entry error estimates.
@@ -391,7 +384,7 @@ class ZetaEngine:
         """
         if not isinstance(p, EvalPoint):
             p = EvalPoint(*p)
-        vals, errs = self._single_point(p, jmax)
+        vals, errs = self._single_point(p.s, jmax)
         return [ComplexEval(complex(v), float(e)) for v, e in zip(vals, errs)]
 
     def log_derivative_k(self, p: EvalPoint, k: int) -> ComplexEval:
@@ -406,7 +399,7 @@ class ZetaEngine:
             p = EvalPoint(*p)
         if not (0 <= k <= 8):
             raise DomainError(f"k={k} outside [0, 8]")
-        z, err = self._single_point(p, k + 1)
+        z, err = self._single_point(p.s, k + 1)
         vals, errs = self._log_deriv_recursion(z, k, err)
         value = complex(vals[k])
         if abs(p.t) >= 2.0:
@@ -424,7 +417,8 @@ class ZetaEngine:
         """Z(t) = Re{ e^{i theta(t)} zeta(1/2 + it) }; real, zeros at the gammas."""
         if t < 2.0:
             raise DomainError("hardy_z requires t >= 2")
-        return float(self.hardy_z_points(np.array([t]))[0])
+        z = self.zeta(complex(0.5, t)).value
+        return float(np.real(np.exp(1j * riemann_siegel_theta(t)) * z))
 
     def hardy_z_points(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

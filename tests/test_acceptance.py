@@ -101,8 +101,8 @@ class TestCriterion04K0Reduction:
     def test_closed_forms(self):
         worst = 0.0
         for a in (0.5, 1.0, 2.0):
-            c = coefficient_c(0, a).value
-            d = coefficient_d(0, a).value
+            c = coefficient_c(0, a)
+            d = coefficient_d(0, a)
             worst = max(worst,
                         abs(c - (1 - math.exp(-2 * a)) / (4 * a * a)) / c,
                         abs(d - (1 - math.exp(-a)) / (2 * math.pi * a * a)) / d)
@@ -114,8 +114,8 @@ class TestCriterion04K0Reduction:
         worst = 0.0
         for k in range(0, 9):
             for a in A_GRID:
-                lhs = coefficient_d(k, a).value
-                rhs = coefficient_c(k, a / 2.0).value / (2 * math.pi)
+                lhs = coefficient_d(k, a)
+                rhs = coefficient_c(k, a / 2.0) / (2 * math.pi)
                 worst = max(worst, abs(lhs - rhs) / rhs)
         ok = worst < 1e-14
         report(f"criterion 4b [d(k,a) = c(k,a/2)/2pi]: worst rel {worst:.2e}", ok)

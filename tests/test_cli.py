@@ -173,6 +173,24 @@ class TestUsage:
         assert "zetalab" in proc.stdout
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    """``alias._name`` on an imported zetalab module couples the CLI to that
+    module's internals; every helper it calls has a public name."""
+    import ast
+    import zetalab.cli
+
+    tree = ast.parse(Path(zetalab.cli.__file__).read_text())
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or (node.module or "").startswith("zetalab"))
+               for a in node.names}
+    private = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in aliases and node.attr.startswith("_"))
+    assert {"mo", "pc", "pred", "zc"} <= aliases
+    assert private == []
+
+
 class TestPredictCommand:
     def test_value_and_csv_shape(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(["predict", "--k", "0", "--a", "1"],

@@ -78,6 +78,35 @@ class TestClosedForms:
                 assert sign == pytest.approx(math.factorial(2 * k) / b ** (2 * k + 1))
 
 
+class TestLargeArguments:
+    @pytest.mark.parametrize("family", ["h", "l", "f"])
+    @pytest.mark.parametrize("order, x", [(16, 1e20), (4, 1e80), (1, 1e160)])
+    def test_far_tail_is_finite(self, family, order, x):
+        """(1 + ix/b)^(m+1) overflows here; its reciprocal must not come back nan."""
+        spec = KernelSpec(family, 1.0, order)
+        vals = kernel_eval(spec, np.array([x, -x, 1e300]))
+        assert np.all(np.isfinite(vals)) and np.all(np.abs(vals) <= 1e-300)
+        assert math.isfinite(kernel_eval(spec, x))
+
+    def test_within_the_pinned_bound_of_the_direct_power(self):
+        """On |x| <= 1e3, where (1 + ix/b)^-(m+1) does not overflow, the values
+        move from it by at most 4e-15 m!/b^(m+1), the kernel's scale at x = 0."""
+        xs = np.concatenate([np.linspace(-1e3, 1e3, 4001),
+                             np.random.default_rng(0).uniform(-30.0, 30.0, 2000)])
+        worst = 0.0
+        for family in ("h", "l", "f"):
+            for order in range(17):
+                for b in (0.05, 0.3, 1.0, 4.0):
+                    m = order + (family == "l")
+                    c = (-1) ** order if family == "f" else (-1j) ** order
+                    direct = np.real(c * math.factorial(m) * b ** -(m + 1)
+                                     * (1.0 + 1j * (xs / b)) ** -(m + 1))
+                    got = kernel_eval(KernelSpec(family, b, order), xs)
+                    worst = max(worst, np.max(np.abs(got - direct)) * b ** (m + 1)
+                                / math.factorial(m))
+        assert worst <= 4e-15
+
+
 class TestSpecValidation:
     def test_bad_family(self):
         with pytest.raises(DomainError):

@@ -251,13 +251,13 @@ class TestDiscrete:
         i_est = mo.MomentEstimate("I_quadrature", 0, 1.0, 500.0, 1234.5, 0.1)
         d_est = mo.MomentEstimate("D_discrete", 0, 2.0, 500.0,
                                   1234.5 / (2.0 * math.pi), 0.0)
-        assert mo._ratio_of(i_est, d_est) == pytest.approx(1.0, rel=1e-14)
+        assert mo.ratio_of(i_est, d_est) == pytest.approx(1.0, rel=1e-14)
 
     def test_division_guard(self):
         i_est = mo.MomentEstimate("I_quadrature", 0, 1.0, 500.0, 10.0, 0.1)
         d_est = mo.MomentEstimate("D_discrete", 0, 2.0, 500.0, 1e-12, 1.0)
         with pytest.raises(DivisionError):
-            mo._ratio_of(i_est, d_est)
+            mo.ratio_of(i_est, d_est)
 
 
 @pytest.mark.parametrize("module,name", [(mo, "weight_alpha_max"),

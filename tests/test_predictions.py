@@ -26,12 +26,12 @@ def synthetic_grid(t, values_fn, alpha_max=20.0, step=1e-4):
 class TestCoefficientC:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_k0_reduction(self, a):
-        got = coefficient_c(0, a).value
+        got = coefficient_c(0, a)
         ref = (1.0 - math.exp(-2 * a)) / (4 * a * a)
         assert got == pytest.approx(ref, rel=1e-14)
 
     def test_k1_against_quadrature_oracle(self):
-        got = coefficient_c(1, 1.0).value
+        got = coefficient_c(1, 1.0)
         assert got == pytest.approx(0.375 - 1.125 * math.exp(-2.0), rel=1e-13)
         part1, _ = quad(lambda x: x ** 3 * math.exp(-2 * x), 0, 1, epsabs=1e-13)
         part2, _ = quad(lambda x: x ** 2 * math.exp(-2 * x), 1, 60, epsabs=1e-13)
@@ -40,13 +40,13 @@ class TestCoefficientC:
     @settings(max_examples=80, deadline=None)
     @given(k=st.integers(0, 8), a=st.floats(0.05, 8.0))
     def test_positive(self, k, a):
-        assert coefficient_c(k, a).value > 0
-        assert coefficient_d(k, a).value > 0
+        assert coefficient_c(k, a) > 0
+        assert coefficient_d(k, a) > 0
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_decreasing_in_a(self, k):
         grid = np.linspace(0.1, 5.0, 60)
-        vals = [coefficient_c(k, a).value for a in grid]
+        vals = [coefficient_c(k, a) for a in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_guards(self):
@@ -57,19 +57,27 @@ class TestCoefficientC:
         with pytest.raises(DomainError):
             coefficient_c(-1, 1.0)
 
+    def test_plain_floats_with_a_fault_guard(self, monkeypatch):
+        """Both coefficients are floats; a non-positive closed form is a fault."""
+        assert type(coefficient_c(1, 1.0)) is float and type(coefficient_d(1, 1.0)) is float
+        monkeypatch.setattr(predictions, "_closed_form", lambda k, twoa: 0.0)
+        for coefficient in (coefficient_c, coefficient_d):
+            with pytest.raises(DomainError, match="positive"):
+                coefficient(1, 1.0)
+
 
 class TestCoefficientD:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_k0_reduction(self, a):
-        got = coefficient_d(0, a).value
+        got = coefficient_d(0, a)
         ref = (1.0 - math.exp(-a)) / (2 * math.pi * a * a)
         assert got == pytest.approx(ref, rel=1e-14)
 
     def test_relates_to_continuous_coefficient(self):
         for k in range(0, 9):
             for a in A_GRID:
-                lhs = coefficient_d(k, a).value
-                rhs = coefficient_c(k, a / 2.0).value / (2 * math.pi)
+                lhs = coefficient_d(k, a)
+                rhs = coefficient_c(k, a / 2.0) / (2 * math.pi)
                 assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
@@ -96,7 +104,7 @@ class TestIdentityResidual:
         assert gr_identity_residual(2, 0.25) == pytest.approx(1e-9, rel=0.1)
 
     def test_relative_residual_at_longdouble_rounding(self):
-        worst = max(gr_identity_residual(k, a) / coefficient_c(k, a).value
+        worst = max(gr_identity_residual(k, a) / coefficient_c(k, a)
                     for k in range(9) for a in A_GRID)
         assert worst <= 1e-17
 

@@ -177,7 +177,7 @@ class TestMpmathOracle:
         got = zero_source.table(1000.0).ordinates[n - 1]
         with mpmath.workdps(25):
             ref = float(mpmath.zetazero(n).imag)
-        assert abs(got - ref) <= zc.DEFAULT_PRECISION
+        assert abs(got - ref) <= zc.ROOT_TOL
 
     @pytest.mark.parametrize("t", [130.5, 777.7, 1500.25, 3210.9, 4999.1, 5999.3])
     def test_hardy_z_against_siegelz(self, t, engine):
@@ -222,6 +222,10 @@ class TestVerifyCounts:
 
 
 class TestZeroTableType:
+    def test_three_fields(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(ZeroTable)] == ["ordinates", "t_max", "source"]
+
     def test_rejects_decreasing(self):
         with pytest.raises(OrderError):
             ZeroTable(np.array([21.0, 14.1]), 30.0)
@@ -260,14 +264,13 @@ class TestZerosFile:
         assert len(tab) == 2
         assert tab.t_max == 21.022039638771
         assert tab.source == "imported"
-        assert tab.precision == 1e-9
 
     def test_comments_and_metadata(self, tmp_path):
+        """Unknown keys, such as the precision line of older files, are ignored."""
         path = tmp_path / "z.txt"
-        path.write_text("# comment\n# precision=1e-7\n14.13\n")
+        path.write_text("# comment\n# precision=1e-7\n# origin=odlyzko\n14.13\n")
         tab = import_zeros(path)
-        assert len(tab) == 1
-        assert tab.precision == 1e-7
+        assert len(tab) == 1 and tab.t_max == 14.13
 
     def test_order_error_carries_line(self, tmp_path):
         path = tmp_path / "z.txt"
@@ -422,6 +425,42 @@ class TestCache:
             out = capsys.readouterr()
             assert "sha256" in out.err and str(path) in out.err
             assert out.out == ""
+
+    def test_imported_table_in_the_cache_is_refused(self, tmp_path, capsys):
+        """A table written by ``zeros --import --out`` into the cache keeps its
+        source line, and a cache read refuses it instead of relabelling it."""
+        src = tmp_path / "src.txt"
+        export_zeros(find_zeros(100.0), src)
+        cache = tmp_path / "cache"
+        path = cache / "zeros-tmax-100.0.txt"
+        assert cmd_dispatch(["zeros", "--import", str(src), "--out", str(path)]) == 0
+        assert "# source=imported" in path.read_text().splitlines()
+        capsys.readouterr()
+        with pytest.raises(ParseError, match="source=imported") as err:
+            load_or_find(100.0, cache=cache)
+        assert str(path) in str(err.value)
+        for command in ("ftable", "zeros"):
+            assert cmd_dispatch([command, "--tmax", "100", "--cache", str(cache)]) == 1
+            out = capsys.readouterr()
+            assert "source=imported" in out.err and str(path) in out.err
+            assert out.out == ""
+
+    def test_cache_file_with_a_precision_line_is_a_hit(self, tmp_path, monkeypatch):
+        """Files written before the precision line was dropped still load, unchanged."""
+        load_or_find(100.0, cache=tmp_path)
+        path = tmp_path / "zeros-tmax-100.0.txt"
+        lines = path.read_text().splitlines()
+        at = lines.index("# source=computed") + 1
+        path.write_text("\n".join(lines[:at] + ["# precision=1e-09"] + lines[at:]) + "\n")
+        before = path.read_text()
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("cache hit recomputed")
+
+        monkeypatch.setattr(zc, "find_zeros", no_compute)
+        tab = load_or_find(100.0, cache=tmp_path)
+        assert len(tab) == 29 and tab.source == "computed"
+        assert path.read_text() == before
 
     def test_digest_covers_the_ordinate_lines(self, tmp_path, table100):
         import hashlib

@@ -80,9 +80,9 @@ class TestDerivatives:
     def test_cheaper_profile_agrees_with_strict(self, engine):
         cheaper = ZetaEngine(EmProfile(1.5, 10))
         for t in (100.0, 1000.0, 3000.0):
-            a = engine.zeta(complex(0.6, t)).value
-            b = cheaper.zeta(complex(0.6, t)).value
-            assert abs(a - b) < 1e-5
+            a, _ = engine.zeta_derivs_points(0.6, np.array([t]), 0)
+            b, _ = cheaper.zeta_derivs_points(0.6, np.array([t]), 0)
+            assert abs(a[0, 0] - b[0, 0]) < 1e-5
 
     def test_jmax_validation(self, engine):
         with pytest.raises(DomainError):
@@ -139,11 +139,11 @@ class TestKernel:
         t = np.concatenate([rng.uniform(-300.0, 300.0, chunk),
                             rng.uniform(-300.0, 1500.0, 1000)])
         s = sigma + 1j * t
-        vals, err = engine.zeta_points(s)
-        assert vals.shape == s.shape
+        vals, err = engine._zeta_derivs(s, 0)
+        assert vals.shape == err.shape == (s.size, 1)
         for lo, hi in ((0, chunk), (chunk, s.size)):
             for i in rng.choice(np.arange(lo, hi), 8, replace=False):
-                assert abs(vals[i] - engine.zeta(s[i]).value) <= err
+                assert abs(vals[i, 0] - engine.zeta(s[i]).value) <= err[i, 0]
 
     def test_height_bands_match_single_points(self, engine):
         """Unsorted heights over several bands come back in input order."""
@@ -190,8 +190,6 @@ class TestKernel:
         assert np.all(np.abs(uni - pts) <= err + pts_err)
 
     def test_empty_input(self, engine):
-        vals, err = engine.zeta_points(np.array([], dtype=complex))
-        assert vals.shape == (0,) and err == 0.0
         for vals, err in (engine.zeta_derivs_points(0.8, np.array([]), 3),
                           engine.zeta_derivs_uniform(0.8, 10.0, 0.1, 0, 3)):
             assert vals.shape == err.shape == (0, 4)
@@ -341,6 +339,15 @@ class TestSinglePoint:
         p = EvalPoint(0.6, 3000.0)
         other = ZetaEngine(EmProfile(4.0, 16))
         assert engine.zeta_derivatives(p, 3) == other.zeta_derivatives(p, 3)
+
+    def test_scalars_do_not_follow_the_engine(self, engine):
+        """zeta and hardy_z are SINGLE blocks of one, as zeta_derivatives is."""
+        cheaper = ZetaEngine(EmProfile(1.5, 10))
+        for s in (2.0 + 0j, 0.6 + 100j, 0.5 - 3000j, 0.9 + 5990j):
+            assert cheaper.zeta(s) == engine.zeta(s)
+        assert engine.zeta(0.6 + 100j) == engine.zeta_derivatives(EvalPoint(0.6, 100.0), 0)[0]
+        for t in (14.0, 130.5, 3210.9):
+            assert cheaper.hardy_z(t) == engine.hardy_z(t)
 
     def test_recursion_errors_match_scalar_loop(self, engine):
         """The vectorized error propagation against a plain per-point loop."""
