@@ -79,10 +79,15 @@ def _inv_power(b: float, m: int, x):
     underflow into subnormals for tiny x, losing relative precision.
     |w| <= 1, so w^m cannot overflow, where (1 + ix/b)^m does once
     |x/b|^m passes the float range and its reciprocal comes back nan.
-    numpy's general complex power costs three reciprocals, hence m = 1 apart.
+    The product is built by repeated multiplication in place, cheaper than
+    numpy's general complex power, starting from b^(-m) w so that no
+    partial product falls below the result in magnitude.
     """
     w = np.reciprocal(1.0 + 1j * (np.asarray(x) / b))
-    return b ** (-m) * (w if m == 1 else w ** m)
+    power = w * b ** (-m)
+    for _ in range(m - 1):
+        power *= w
+    return power
 
 
 def kernel_eval(spec: KernelSpec, x):

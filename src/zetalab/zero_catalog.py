@@ -1,13 +1,10 @@
 """Zero ordinates of zeta on the critical line: compute, import, verify, persist.
 
 Zeros are located as sign changes of the Hardy Z function on a fixed scan
-grid and refined by the Illinois modified regula falsi (Dowell & Jarratt,
-BIT 11, 1971), run on all brackets at once: each round evaluates Z only at
-the false-position points of the brackets still wider than ``ROOT_TOL``.
-Those rounds never sum zeta again.  One arbitrary-point engine call gives
-the Taylor jet zeta^(j)(1/2 + ic), j <= ``JET``, at every bracket centre c,
-and each round evaluates Z from its bracket's jet by Horner's rule, the
-way Odlyzko & Schoenhage (Trans. AMS 309, 1988) step off their grid.
+grid and bisected, all brackets at once, on one real polynomial per
+bracket: the Taylor jet zeta^(j)(1/2 + ic), j <= ``JET``, at its centre c
+(one arbitrary-point engine call for all, the way Odlyzko & Schoenhage,
+Trans. AMS 309, 1988, step off their grid), rotated by e^{i theta(c)}.
 The scan runs once: completeness is certified against the Riemann-von
 Mangoldt count, and a failed census raises ``MissedZeroError``.  All zeros
 are treated as simple.
@@ -37,8 +34,6 @@ from .zeta_engine import TWO_PI, ZetaEngine, riemann_siegel_theta_array
 SCAN_START = 2.0
 SCAN_STEP = 0.05
 ROOT_TOL = 1e-9
-#: Illinois rounds before the brackets still open fall back to bisection
-FALSE_POSITION_ROUNDS = 16
 #: top derivative order of the Taylor jet at each bracket centre; with a
 #: bracket radius of SCAN_STEP/2 the main-sum remainder
 #: sum_n n^{-1/2} (0.025 ln n)^{JET+1} / (JET+1)! is 1.9e-16 at t = 1000
@@ -114,9 +109,10 @@ def verify_counts(table: ZeroTable) -> CountReport:
 # --------------------------------------------------------------------------
 
 def _scan_sign_changes(engine: ZetaEngine, t_max: float,
-                       threads: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Hardy Z at SCAN_START + SCAN_STEP m, to one step past t_max, in pieces of
-    ``engine.CHUNK`` points; returns the sign-change brackets as (lo, z_lo, z_hi)."""
+    ``engine.CHUNK`` points; returns the low end of every sign-change bracket
+    and the sign of Z there."""
     size = int(math.ceil((t_max - SCAN_START) / SCAN_STEP)) + 2
     starts = range(0, size, engine.CHUNK)
 
@@ -131,71 +127,52 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(piece, starts))
-    z = np.concatenate(parts)
-    flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
-    return SCAN_START + SCAN_STEP * flips, z[flips], z[flips + 1]
+    sign = np.sign(np.concatenate(parts))
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return SCAN_START + SCAN_STEP * flips, sign[flips]
 
 
 def _jet_coefficients(engine: ZetaEngine, centres: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of zeta(1/2 + ix) in x - c at every centre c.
+    """Taylor coefficients in x - c of R(x) = Re e^{i theta(c)} zeta(1/2 + ix).
 
-    Row m holds zeta^(j)(1/2 + i c_m) i^j / j! for j = 0..JET, from one
-    arbitrary-point engine call.
+    Row m holds Re e^{i theta(c_m)} zeta^(j)(1/2 + i c_m) i^j / j!, j <= JET,
+    from one arbitrary-point engine call.  R(x) = Z(x) cos(theta(x) -
+    theta(c)), and |theta(x) - theta(c)| < pi/2 over half a bracket, so R
+    has the sign and the roots of Z there.
     """
     derivs, _ = engine.zeta_derivs_points(0.5, centres, JET)
     scale = np.array([1j ** j / math.factorial(j) for j in range(JET + 1)])
-    return derivs * scale
+    rotation = np.exp(1j * riemann_siegel_theta_array(centres))
+    return np.real(derivs * scale * rotation[:, None])
 
 
-def _jet_z(coeffs: np.ndarray, centres: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hardy Z at x[m] from the jet of row m: Re e^{i theta(x)} sum_j coeffs[m, j] (x - c)^j."""
-    h = x - centres
+def _horner(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[m, j] h[m]^j for every row m, by Horner's rule."""
     acc = coeffs[:, JET].copy()
     for j in range(JET - 1, -1, -1):
         acc *= h
         acc += coeffs[:, j]
-    return np.real(np.exp(1j * riemann_siegel_theta_array(x)) * acc)
+    return acc
 
 
-def _refine_brackets(engine: ZetaEngine, lo: np.ndarray, hi: np.ndarray,
-                     f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Shrink every sign-change bracket [lo, hi] to at most ROOT_TOL wide.
+def _refine_brackets(engine: ZetaEngine, lo: np.ndarray,
+                     sign_lo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, lo + SCAN_STEP] to at most ROOT_TOL wide.
 
-    Z inside a bracket comes from the Taylor jet of zeta at its centre
-    (``_jet_coefficients``, one engine call for all brackets) and
-    ``_jet_z``; the brackets are at most SCAN_STEP wide, so the jet's
-    remainder is far below the Z values that decide a sign at ROOT_TOL.
-    Illinois rounds over the active brackets: Z is evaluated at the
-    false-position point, clamped ROOT_TOL/4 inside the bracket so a root
-    next to an end still closes it, and an end kept twice in a row has its
-    Z value halved.  A bracket leaves the active set once it is at most
-    ROOT_TOL wide or Z vanishes at its new point.  After
-    FALSE_POSITION_ROUNDS rounds the brackets still open are bisected.
-    Returns the midpoints of the final brackets.
+    Z takes its sign from R, the real jet at the bracket centre
+    (``_jet_coefficients``, one engine call for all brackets).  Each of
+    ceil(log2(SCAN_STEP / ROOT_TOL)) rounds halves every bracket by one
+    Horner pass.  Returns the midpoints of the final brackets.
     """
-    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-    centres = 0.5 * (lo + hi)
+    half = 0.5 * SCAN_STEP
+    centres = lo + half
     coeffs = _jet_coefficients(engine, centres)
-    moved = np.zeros(lo.size, dtype=np.int8)   # end the last point replaced: +1 lo, -1 hi
-    active = np.flatnonzero(hi - lo > ROOT_TOL)
-    rounds = 0
-    while active.size:
-        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
-        if rounds < FALSE_POSITION_ROUNDS:
-            x = np.clip(a - fa * (b - a) / (fb - fa), a + ROOT_TOL / 4, b - ROOT_TOL / 4)
-        else:
-            x = 0.5 * (a + b)
-        fx = _jet_z(coeffs[active], centres[active], x)
-        rounds += 1
-        to_lo = np.sign(fx) == np.sign(fa)
-        last = moved[active]
-        f_hi[active] = np.where(to_lo, np.where(last == 1, 0.5 * fb, fb), fx)
-        f_lo[active] = np.where(to_lo, fx, np.where(last == -1, 0.5 * fa, fa))
-        lo[active] = np.where(to_lo | (fx == 0), x, a)
-        hi[active] = np.where(to_lo, b, x)
-        moved[active] = np.where(to_lo, 1, -1)
-        active = active[(hi[active] - lo[active] > ROOT_TOL) & (fx != 0)]
-    return 0.5 * (lo + hi)
+    h_lo, width = np.full(lo.size, -half), SCAN_STEP   # low ends, as offsets from c
+    for _ in range(math.ceil(math.log2(SCAN_STEP / ROOT_TOL))):
+        width *= 0.5
+        mid = h_lo + width
+        h_lo = np.where(np.sign(_horner(coeffs, mid)) == sign_lo, mid, h_lo)
+    return centres + (h_lo + 0.5 * width)
 
 
 def _check_t_max(t_max: float) -> None:
@@ -208,16 +185,14 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
     Scans Z once from t=2 (the first zero is near 14.13; nothing lies below)
-    with step 0.05, refines each sign change by Illinois false position on
-    the Taylor jet of zeta at its centre to a bracket of width <= 1e-9 and
-    returns its midpoint.  The brackets are
-    disjoint and increasing, so the ordinates come out sorted.  A failed
-    census raises MissedZeroError.
+    with step 0.05, bisects each sign change on the real Taylor jet of zeta
+    at its centre to a bracket of width <= 1e-9 and returns its midpoint.
+    The brackets are disjoint and increasing, so the ordinates come out
+    sorted.  A failed census raises MissedZeroError.
     """
     _check_t_max(t_max)
     engine = engine or ZetaEngine()
-    lo, z_lo, z_hi = _scan_sign_changes(engine, t_max, threads)
-    ords = _refine_brackets(engine, lo, lo + SCAN_STEP, z_lo, z_hi)
+    ords = _refine_brackets(engine, *_scan_sign_changes(engine, t_max, threads))
     table = ZeroTable(ords[ords <= t_max], t_max, "computed")
     report = verify_counts(table)
     if not report.passed:

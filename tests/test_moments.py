@@ -269,6 +269,7 @@ class TestDiscrete:
                                          (zero_catalog, "BISECT_TOL"),
                                          (zero_catalog, "RESCAN_STEP"),
                                          (zero_catalog, "_find_pass"),
+                                         (zero_catalog, "FALSE_POSITION_ROUNDS"),
                                          (zeta_engine, "_bessel_iv"),
                                          (zeta_engine, "FAST"),
                                          (mo, "farmer_ratio"),
