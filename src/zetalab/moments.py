@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import (DivisionError, DomainError, PrecisionError, RangeError)
 from .kernels import KernelSpec, kernel_eval
@@ -205,6 +204,15 @@ def i_k_from_zeros(k: int, a: float, t: float, zeros: ZeroTable) -> MomentEstima
 # Pair-correlation integral
 # --------------------------------------------------------------------------
 
+def _gamma_q(n: int, x: float) -> float:
+    """Regularized upper incomplete gamma Q(n, x) = e^{-x} sum_{j<n} x^j / j!, n >= 1."""
+    term = total = math.exp(-x)
+    for j in range(1, n):
+        term *= x / j
+        total += term
+    return total
+
+
 def i_k_from_f(k: int, a: float, t: float, grid: FGrid) -> MomentEstimate:
     """Second moment as T (log T)^(2k+2) int_0^amax alpha^2k e^(-2a alpha) F.
 
@@ -228,7 +236,7 @@ def i_k_from_f(k: int, a: float, t: float, grid: FGrid) -> MomentEstimate:
     half = float(np.trapezoid(integrand[::2], alphas[::2]))
     x = 2.0 * a * grid.alpha_max
     tail = (math.gamma(2 * k + 1) / (2.0 * a) ** (2 * k + 1)
-            * float(gammaincc(2 * k + 1, x)) * float(vals[-1]))
+            * _gamma_q(2 * k + 1, x) * float(vals[-1]))
     pref = t * log_t ** (2 * k + 2)
     value = pref * integral
     err = pref * (abs(integral - half) + tail)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, RangeError
 from .zero_catalog import ZeroTable
@@ -36,6 +36,13 @@ PAIR_BLOCK = 8192
 #: outer rows built per product, so a block's outer factor is at most
 #: ROWS x PAIR_BLOCK complex numbers (8 MB) whatever the sample count
 ROWS = 64
+#: Si(x) by composite Gauss-Legendre, SI_NODES nodes on panels at most pi
+#: wide, below SI_CUT, and by SI_TERMS terms of its asymptotic series from
+#: there, whose first omitted terms 20!/x^21 and 21!/x^22 are below 1e-17
+SI_CUT = 16.0 * math.pi
+SI_NODES = 10
+SI_TERMS = 10
+_SI_X, _SI_W = leggauss(SI_NODES)
 
 
 def pair_weight(u):
@@ -221,6 +228,26 @@ def pair_count(zeros: ZeroTable, t: float, beta: float) -> int:
     return int(np.sum(np.arange(g.size) - lo))
 
 
+def _si(x: float) -> float:
+    """The sine integral Si(x) = int_0^x sin(u)/u du for x > 0."""
+    if x < SI_CUT:
+        panels = max(1, math.ceil(x / math.pi))
+        h = x / panels
+        u = h * (np.arange(panels)[:, None] + 0.5 * (_SI_X + 1.0))
+        return 0.5 * h * float(np.sum(_SI_W * (np.sin(u) / u)))
+    # Si = pi/2 - f cos x - g sin x with f ~ sum_n (-1)^n (2n)!/x^{2n+1}
+    # and g ~ sum_n (-1)^n (2n+1)!/x^{2n+2}
+    inv_sq = 1.0 / (x * x)
+    term_f, term_g = 1.0 / x, inv_sq
+    f, g = term_f, term_g
+    for n in range(1, SI_TERMS):
+        term_f *= -(2 * n - 1) * (2 * n) * inv_sq
+        term_g *= -(2 * n) * (2 * n + 1) * inv_sq
+        f += term_f
+        g += term_g
+    return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
+
+
 def gue_integral(beta: float) -> float:
     """int_0^beta { 1 - (sin pi u / pi u)^2 } du in closed form.
 
@@ -234,8 +261,8 @@ def gue_integral(beta: float) -> float:
         raise DomainError("beta must be nonnegative")
     if beta == 0:
         return 0.0
-    si, _ = sici(2.0 * math.pi * beta)
-    return beta - float(si) / math.pi + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta)
+    return (beta - _si(2.0 * math.pi * beta) / math.pi
+            + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta))
 
 
 def montgomery_asymptotic(alpha: float, t: float) -> float:

@@ -1,6 +1,7 @@
 """CLI tests: command behavior, CSV contract, determinism, exit codes."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -171,6 +172,40 @@ class TestUsage:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0
         assert "zetalab" in proc.stdout
+
+
+NO_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not a runtime dependency")
+
+sys.meta_path.insert(0, RefuseScipy())
+import zetalab
+from zetalab.cli import cmd_dispatch
+
+codes = [cmd_dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """``import zetalab`` and the commands run with every scipy import refused."""
+    src = Path(zetalab.__file__).parents[1]
+    cache = str(tmp_path / "cache")
+    argvs = [["report", "--tmax", "51.5", "--k", "0,1,2", "--a", "0.5", "--cache", cache,
+              "--out-dir", str(tmp_path / "report")],
+             ["zeros", "--tmax", "100", "--cache", cache],
+             ["ftable", "--tmax", "100", "--cache", cache, "--out", str(tmp_path / "f.csv")]]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 def test_cli_reads_no_private_name_of_another_module():

@@ -1,6 +1,7 @@
 """Engine tests: values against independent oracles, invariants, error paths."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ ZETA_PRIME_2 = -0.93754825431584375370
 LOG_DERIV_2 = -0.56996099309453280640      # -sum Lambda(n)/n^2
 LOG_DERIV_PRIME_2 = 0.88448183396352388520  # +sum Lambda(n) log n /n^2
 GAMMA_1 = 14.134725141734694
+EPS = np.finfo(float).eps
 
 
 class TestZetaValues:
@@ -402,6 +404,49 @@ class TestTheta:
     def test_domain(self):
         with pytest.raises(DomainError):
             riemann_siegel_theta(1.0)
+
+    def test_against_mpmath_on_both_sides_of_the_cut(self):
+        """Within 32 eps max(1, |theta|) of mpmath on [2, 6000]: every 0.01
+        up to 30, across the cut at 11.69, then 4,001 points; measured 9.8
+        below the cut and 8.9 above it."""
+        mpmath = pytest.importorskip("mpmath")
+        cut = zeta_engine._THETA_CUT
+        ts = np.concatenate([np.arange(2.0, 30.0, 0.01), np.linspace(30.0, 6000.0, 4001),
+                             [cut, np.nextafter(cut, 0.0)]])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.siegeltheta(t)) for t in ts])
+        got = zeta_engine.riemann_siegel_theta_array(ts)
+        assert np.any(ts < cut) and np.any(ts >= cut)
+        assert np.all(np.abs(got - ref) <= 32 * EPS * np.maximum(1.0, np.abs(ref)))
+
+    def test_odd(self):
+        ts = np.concatenate([np.geomspace(1e-8, 1e5, 500), np.linspace(0.0, 40.0, 401)])
+        theta = zeta_engine.riemann_siegel_theta_array
+        assert np.array_equal(theta(-ts), -theta(ts))
+        assert theta(np.array([0.0]))[0] == 0.0
+
+    def test_same_values_as_scipy_wherever_hardy_z_evaluates(self):
+        """hardy_z_points and hardy_z_uniform take any real t, so theta
+        follows scipy's log-gamma over both signs from 1e-8 to 1e6 within
+        64 eps max(1, |theta|), the rounding of the two (measured 30.5, at
+        t = 19.57, where scipy is the further from mpmath)."""
+        special = pytest.importorskip("scipy.special")
+        ts = np.concatenate([np.linspace(-50.0, 50.0, 10001), np.geomspace(1e-8, 1e6, 3000),
+                             -np.geomspace(1e-8, 1e6, 300)])
+        ref = np.imag(special.loggamma(0.25 + 0.5j * ts)) - 0.5 * ts * math.log(math.pi)
+        got = zeta_engine.riemann_siegel_theta_array(ts)
+        assert np.all(np.abs(got - ref) <= 64 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+class TestBernoulli:
+    def test_correctly_rounded_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(61):
+            exact = Fraction(*mpmath.bernfrac(n))
+            assert zeta_engine._bernoulli_fraction(n) == exact
+            assert zeta_engine._bernoulli(n) == float(exact)
+            with mpmath.workprec(53):
+                assert zeta_engine._bernoulli(n) == float(mpmath.bernoulli(n))
 
 
 class TestHardyZ:
