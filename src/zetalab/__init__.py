@@ -11,7 +11,7 @@ from .errors import (CoverageError, DivisionError, DomainError, IoError,
                      MissedZeroError, NearZeroError, OrderError, ParseError,
                      PrecisionError, RangeError, UnsupportedError, ZetalabError)
 from .kernels import KernelSpec, kernel_eval, kernel_fourier
-from .moments import (MomentEstimate, d_k, i_k_from_f, i_k_from_zeros,
+from .moments import (MomentEstimate, d_k, d_k_batch, i_k_from_f, i_k_from_zeros,
                       i_k_quadrature, i_k_quadrature_batch)
 from .pair_correlation import (FGrid, f_alpha, f_grid, f_window_integral,
                                gue_integral, montgomery_asymptotic, pair_count)
@@ -33,7 +33,7 @@ __all__ = [
     "NearZeroError", "OrderError", "ParseError", "PrecisionError",
     "RangeError", "STRICT", "TauberianReport", "UnsupportedError",
     "ZeroTable", "ZetaEngine", "ZetalabError", "coefficient_c",
-    "coefficient_d", "d_k", "export_zeros", "f_alpha", "f_grid",
+    "coefficient_d", "d_k", "d_k_batch", "export_zeros", "f_alpha", "f_grid",
     "f_window_integral", "find_zeros", "gr_identity_residual",
     "gue_integral", "i_k_from_f", "i_k_from_zeros", "i_k_quadrature",
     "i_k_quadrature_batch", "import_zeros", "kernel_eval", "kernel_fourier",

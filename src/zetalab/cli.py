@@ -140,10 +140,10 @@ def _discrete(ks, a_list, t, quads, table):
     """I_k(a,T) from the given sweeps against 2 pi D_k(2a,T)."""
     rows = []
     for a in a_list:
+        d_ests = mo.d_k_batch(ks, 2.0 * a, t, table, ZetaEngine())
         for i, k in enumerate(ks):
-            d_est = mo.d_k(k, 2.0 * a, t, table, ZetaEngine())
-            rows.append([k, a, t, 2.0 * math.pi * d_est.value, quads[a][i].value,
-                         mo.ratio_of(quads[a][i], d_est)])
+            rows.append([k, a, t, 2.0 * math.pi * d_ests[i].value, quads[a][i].value,
+                         mo.ratio_of(quads[a][i], d_ests[i])])
     return ["k", "a", "t", "two_pi_d_2a", "i_quadrature", "i_over_two_pi_d"], rows
 
 

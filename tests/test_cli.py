@@ -382,10 +382,10 @@ class TestDiscreteCommand:
         assert not (tmp_path / "cache").exists()
 
     def test_d_within_its_error_is_domain_exit(self, tmp_path, monkeypatch, capsys):
-        def vanishing(k, a, t, zeros, engine):
-            return mo.MomentEstimate("D_discrete", k, a, t, 0.5, 1.0)
+        def vanishing(ks, a, t, zeros, engine):
+            return [mo.MomentEstimate("D_discrete", k, a, t, 0.5, 1.0) for k in ks]
 
-        monkeypatch.setattr(mo, "d_k", vanishing)
+        monkeypatch.setattr(mo, "d_k_batch", vanishing)
         code, out, err = run_cli(
             ["discrete", "--k", "0", "--a", "1", "--tmax", "200"],
             tmp_path, monkeypatch, capsys)

@@ -49,7 +49,9 @@ class TestQuadrature:
 
     def test_refinement_doubling_within_err(self, engine, monkeypatch):
         base = mo.i_k_quadrature(0, 1.0, 200.0, engine)
-        monkeypatch.setattr(mo, "NODES_PER_WIDTH", 32)
+        plan = mo.sweep_plan([0], 1.0, 200.0)
+        doubled = mo.SweepPlan(*(nu and 2.0 * nu for nu in plan))
+        monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: doubled)
         denser = mo.i_k_quadrature(0, 1.0, 200.0, engine)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
 
@@ -72,15 +74,21 @@ class TestQuadrature:
         assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_rule_on_pole_near_the_axis(self):
-        """A Lorentzian with its pole at distance d from the axis, sampled
-        at NODES_PER_WIDTH nodes per d, as the sweep samples its integrand."""
-        d, c, lo, hi = 0.3, 2.0, 0.0, 7.0
+        """A Lorentzian with its pole at distance d from the axis, on [1, 8],
+        through the sweeps that sweep_plan sets for k = 0, sampled as they
+        sample their integrand."""
+        d, c, t = 0.3, 3.0, 8.0
         f = lambda u: 1.0 / ((u - c) ** 2 + d * d)
-        n = 2 * math.ceil(mo.NODES_PER_WIDTH * (hi - lo) / (2 * d))
-        h = (hi - lo) / n
-        rule = float(mo._gregory_weights(0, n + 1, n) @ f(lo + h * np.arange(n + 1))) * h
-        ref, _ = quad(f, lo, hi, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
-        assert rule == pytest.approx(ref, rel=1e-10)
+
+        class Lorentzian:
+            def log_deriv_uniform(self, sigma, t0, step, count, kmax):
+                u = t0 + step * np.arange(count)
+                return np.sqrt(f(u))[:, None], np.zeros((count, 1))
+
+        a = d * math.log(t)
+        [rule] = mo._quadrature([0], a, t, mo.sweep_plan([0], a, t), Lorentzian())
+        ref, _ = quad(f, 1.0, t, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
+        assert rule.value == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("t", [51.5, 200.0, 500.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -101,6 +109,51 @@ class TestQuadrature:
     def test_no_orders_refused(self, engine):
         with pytest.raises(DomainError):
             mo.i_k_quadrature_batch([], 1.0, 200.0, engine)
+
+
+#: the calibration grid of the node-density model: (T, a)
+DENSITY_CELLS = [(t, a) for t in (51.5, 200.0, 1000.0) for a in (0.5, 1.0, 2.0, 5.0)]
+DENSITY_CELLS.append((200.0, 0.1))
+
+
+class TestDensityModel:
+    @pytest.mark.parametrize("t, a", DENSITY_CELLS)
+    @pytest.mark.parametrize("ks", [(0, 1, 2), (4,)], ids=["k012", "k4"])
+    def test_calibration(self, quad_memo, engine, monkeypatch, ks, t, a):
+        """Against sweeps at 32 nodes per width (each end sweep at twice its
+        density): the gap lies within err_estimate, and within the modelled
+        error of both rules plus the engine's error, which the two rules
+        sample at different nodes (twice the denser rule's propagated
+        part).  Against the 16-nodes-per-width single sweep it replaces:
+        the value lies within that rule's err_estimate."""
+        plan = mo.sweep_plan(list(ks), a, t)
+        dense_plan = mo.SweepPlan(32.0, *(nu and 2.0 * nu for nu in plan[1:]))
+        dense = mo._quadrature_parts(list(ks), a, t, dense_plan, engine)
+        got = quad_memo.batch(ks, a, t)
+        monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: mo.SweepPlan(16.0, None, None))
+        parent = mo.i_k_quadrature_batch(list(ks), a, t, engine)
+        for k, est, ref, old in zip(ks, got, dense, parent):
+            gap = abs(est.value - ref[0])
+            assert gap <= est.err_estimate
+            model = (mo._modelled_error(k, a, t, plan) + mo._modelled_error(k, a, t, dense_plan)
+                     + 2.0 * ref[2])
+            assert gap <= model
+            assert abs(est.value - old.value) <= old.err_estimate
+
+    @pytest.mark.parametrize("ks", [[0], [0, 1, 2], [4]])
+    def test_plan_meets_the_target(self, ks):
+        """Every modelled term is under the target for every requested order,
+        and an end has its own sweep only when it needs more than the interior."""
+        for t, a in DENSITY_CELLS:
+            plan = mo.sweep_plan(ks, a, t)
+            d = a / math.log(t)
+            left, right = plan.left or plan.interior, plan.right or plan.interior
+            for k in ks:
+                assert mo._interior_error(plan.interior, k) <= mo.DENSITY_TARGET
+                assert mo._end_error_1(left, k, d, t) <= 1.000001 * mo.DENSITY_TARGET
+                assert mo._end_error_t(right, k, t) <= 1.000001 * mo.DENSITY_TARGET
+            assert plan.left is None or plan.left > plan.interior
+            assert plan.right is None or plan.right > plan.interior
 
 
 class TestZeroPairSum:

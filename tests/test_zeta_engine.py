@@ -250,7 +250,8 @@ class TestLogDerivative:
         """Per node of the top 4096 nodes of a quadrature sweep, the propagated
         error of each order k <= 2 covers the move to a more accurate profile."""
         log_t = math.log(t)
-        n = 2 * math.ceil(mo.NODES_PER_WIDTH * (t - 1.0) * log_t / (2.0 * a))
+        nu = mo.sweep_plan([0, 1, 2], a, t).interior
+        n = 2 * math.ceil(nu * (t - 1.0) * log_t / (2.0 * a))
         h, count = (t - 1.0) / n, 4096
         args = (0.5 + a / log_t, t - (count - 1) * h, h, count, 2)
         vals, err = engine.log_deriv_uniform(*args)
