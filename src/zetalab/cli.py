@@ -4,8 +4,10 @@ Every numeric output is CSV with a header row, 12 significant digits, LF
 line endings, and no locale formatting, written to --out (default stdout);
 ``report`` writes only under --out-dir.  Only commands that read a zero
 table take --cache and --threads; ``moments --method quad`` takes them but
-reads no zero table and writes no cache.  Exit codes: 0 success, 1 domain or
-computation error or a failed write, 2 usage error.
+reads no zero table and writes no cache.  --threads is accepted and unused:
+the zero scan is serial, and the commands of perfbench/workloads.py still
+pass it.  Exit codes: 0 success, 1 domain or computation error or a failed
+write, 2 usage error.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _check_cells(ks, a_list, t, discrete=False):
 
 
 def _table(args):
-    return zc.load_or_find(args.tmax, cache=args.cache, threads=args.threads)
+    return zc.load_or_find(args.tmax, cache=args.cache)
 
 
 def _grid(args, table):
@@ -241,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Riemann zeta function.")
     zero_table = argparse.ArgumentParser(add_help=False)
     zero_table.add_argument("--threads", type=_int_at_least(1), default=1,
-                            help="worker cap for the zero scan (default 1)")
+                            help="accepted and unused; the zero scan is serial "
+                                 "(default 1)")
     zero_table.add_argument("--cache", help="zero-table cache directory "
                                             "(default $ZETALAB_CACHE or ./zetalab-cache)")
     tmax = argparse.ArgumentParser(add_help=False)

@@ -303,7 +303,10 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float,
     step, so half the density); the rule on 2|f_i| e_i + e_i^2, which
     bounds | |f_i + d|^2 - |f_i|^2 | for every |d| <= e_i, the engine's
     propagated error at node i; and the bound (n+1) eps sum w_i f_i h on the
-    rounding of each weighted sum.
+    rounding of each weighted sum.  The step-halving part carries the halved
+    rule's own error, so it is a conservative bound, not a tight error: over
+    the calibration grid of DECISIONS.md entry 5 it exceeds the move to a
+    denser rule by a factor of 2.9e3 to 6.7e7.
     """
     ks = list(ks)
     if not ks:

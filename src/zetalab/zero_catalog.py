@@ -20,7 +20,6 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
@@ -108,25 +107,17 @@ def verify_counts(table: ZeroTable) -> CountReport:
 # Zero finding
 # --------------------------------------------------------------------------
 
-def _scan_sign_changes(engine: ZetaEngine, t_max: float,
-                       threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _scan_sign_changes(engine: ZetaEngine, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Hardy Z at SCAN_START + SCAN_STEP m, to one step past t_max, in pieces of
     ``engine.CHUNK`` points; returns the low end of every sign-change bracket
     and the sign of Z there."""
     size = int(math.ceil((t_max - SCAN_START) / SCAN_STEP)) + 2
-    starts = range(0, size, engine.CHUNK)
-
-    def piece(i0: int) -> np.ndarray:
-        return engine.hardy_z_uniform(SCAN_START + SCAN_STEP * i0, SCAN_STEP,
-                                      min(engine.CHUNK, size - i0))
-
-    # pieces merge in input order either way; serial below two threads so
-    # traced spans keep their parent
-    if threads <= 1 or len(starts) <= 1:
-        parts = [piece(i0) for i0 in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(piece, starts))
+    # pieces, not one call over the whole scan: at t_max = 1000 one call was
+    # 3-5% slower in every alternated run on a 2-core AMD EPYC, because its
+    # theta and rotation arrays outgrow the cache
+    parts = [engine.hardy_z_uniform(SCAN_START + SCAN_STEP * i0, SCAN_STEP,
+                                    min(engine.CHUNK, size - i0))
+             for i0 in range(0, size, engine.CHUNK)]
     sign = np.sign(np.concatenate(parts))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     return SCAN_START + SCAN_STEP * flips, sign[flips]
@@ -180,8 +171,7 @@ def _check_t_max(t_max: float) -> None:
         raise DomainError(f"t_max={t_max} outside [20, 6000]")
 
 
-def find_zeros(t_max: float, engine: ZetaEngine | None = None,
-               threads: int = 1) -> ZeroTable:
+def find_zeros(t_max: float, engine: ZetaEngine | None = None) -> ZeroTable:
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
     Scans Z once from t=2 (the first zero is near 14.13; nothing lies below)
@@ -192,7 +182,7 @@ def find_zeros(t_max: float, engine: ZetaEngine | None = None,
     """
     _check_t_max(t_max)
     engine = engine or ZetaEngine()
-    ords = _refine_brackets(engine, *_scan_sign_changes(engine, t_max, threads))
+    ords = _refine_brackets(engine, *_scan_sign_changes(engine, t_max))
     table = ZeroTable(ords[ords <= t_max], t_max, "computed")
     report = verify_counts(table)
     if not report.passed:
@@ -330,6 +320,9 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
     MissedZeroError, then a file without a ``# sha256=`` header, or whose
     ordinate lines do not match it, raises ParseError, and so does a file
     that does not state ``# source=computed``.
+
+    ``threads`` is accepted and unused: the scan is serial, and the
+    zero-table calls of perfbench/workloads.py still pass it.
     """
     _check_t_max(t_max)
     directory = cache_dir(cache)
@@ -339,7 +332,7 @@ def load_or_find(t_max: float, cache: str | os.PathLike | None = None,
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot create {directory}: {exc}") from exc
-        table = find_zeros(t_max, threads=threads)
+        table = find_zeros(t_max)
         export_zeros(table, path)
     table, header, actual = _read_zeros(path)
     if table.t_max != t_max or not len(table):

@@ -254,8 +254,8 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
 class ZetaEngine:
     """Stateless evaluator for zeta and its logarithmic derivatives.
 
-    All methods are pure functions of their arguments; instances are safe
-    to share between threads.
+    All methods are pure functions of their arguments, and an instance
+    holds no mutable state.
     """
 
     #: points per kernel block of a uniform sweep: each block sums to its

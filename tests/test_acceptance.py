@@ -43,7 +43,7 @@ class TestCriterion01ZeroCensus:
                f"first at {tab.ordinates[0]:.6f}", ok)
         assert ok
 
-    @pytest.mark.parametrize("t_max", [100.0, 500.0, 1000.0, 5000.0])
+    @pytest.mark.parametrize("t_max", [100.0, 500.0, 1000.0, 5000.0, 6000.0])
     def test_count_formula(self, zero_source, t_max):
         rep = verify_counts(zero_source.table(t_max))
         diff = abs(rep.actual - rep.expected)

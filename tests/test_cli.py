@@ -188,24 +188,27 @@ from zetalab.cli import cmd_dispatch
 
 codes = [cmd_dispatch(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
 """
 
 
 def test_runtime_loads_no_scipy(tmp_path):
-    """``import zetalab`` and the commands run with every scipy import refused."""
+    """``import zetalab`` and the commands run with every scipy import refused,
+    and with ``--threads 2`` they start no worker pool: the zero scan is serial."""
     src = Path(zetalab.__file__).parents[1]
     cache = str(tmp_path / "cache")
     argvs = [["report", "--tmax", "51.5", "--k", "0,1,2", "--a", "0.5", "--cache", cache,
-              "--out-dir", str(tmp_path / "report")],
-             ["zeros", "--tmax", "100", "--cache", cache],
-             ["ftable", "--tmax", "100", "--cache", cache, "--out", str(tmp_path / "f.csv")]]
+              "--threads", "2", "--out-dir", str(tmp_path / "report")],
+             ["zeros", "--tmax", "100", "--cache", cache, "--threads", "2"],
+             ["ftable", "--tmax", "100", "--cache", cache, "--threads", "2",
+              "--out", str(tmp_path / "f.csv")]]
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0], "scipy": [], "concurrent": []}
 
 
 def test_cli_reads_no_private_name_of_another_module():
