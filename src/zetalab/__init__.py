@@ -12,7 +12,7 @@ from .errors import (CoverageError, DivisionError, DomainError, IoError,
                      PrecisionError, RangeError, UnsupportedError, ZetalabError)
 from .kernels import KernelSpec, kernel_eval, kernel_fourier
 from .moments import (MomentEstimate, d_k, d_k_batch, i_k_from_f, i_k_from_zeros,
-                      i_k_quadrature, i_k_quadrature_batch)
+                      i_k_quadrature_batch)
 from .pair_correlation import (FGrid, f_alpha, f_grid, f_window_integral,
                                gue_integral, montgomery_asymptotic, pair_count)
 from .predictions import (TauberianReport, coefficient_c, coefficient_d,
@@ -35,8 +35,8 @@ __all__ = [
     "ZeroTable", "ZetaEngine", "ZetalabError", "coefficient_c",
     "coefficient_d", "d_k", "d_k_batch", "export_zeros", "f_alpha", "f_grid",
     "f_window_integral", "find_zeros", "gr_identity_residual",
-    "gue_integral", "i_k_from_f", "i_k_from_zeros", "i_k_quadrature",
-    "i_k_quadrature_batch", "import_zeros", "kernel_eval", "kernel_fourier",
+    "gue_integral", "i_k_from_f", "i_k_from_zeros", "i_k_quadrature_batch",
+    "import_zeros", "kernel_eval", "kernel_fourier",
     "load_or_find", "montgomery_asymptotic", "pair_count",
     "riemann_siegel_theta", "rvm_expected_count", "tauberian_compare",
     "verify_counts", "window_mass_sup",

@@ -53,9 +53,6 @@ GREGORY_ORDER = 6
 #: half-length, in widths a/log T, of the erfc window that hands an end of
 #: [1, T] to its own sweep; erfc(5)/2 = 7.7e-13 is where a window is cut
 _WINDOW_HALF = 5.0
-#: samples per evaluation block; even, so every block starts on a node of
-#: the halved rule
-_SEGMENT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,11 @@ class MomentEstimate:
 
 
 def check_envelope(k: int, a: float, t: float) -> None:
-    """Supported envelope is k <= 4, a in [0.1, 5], T in [200, 6000].
+    """Supported envelope is k in [0, 4], a in [0.1, 5], T in [2, 6000].
 
-    T below 200 is tolerated for degenerate unit checks; T above 6000 and
-    the k/a limits are hard errors (double precision runs out of comfort).
+    Every limit is a hard DomainError.  Beyond k = 4, a = 5 or T = 6000
+    double precision runs out of comfort; the low end T = 2 only keeps
+    log T and [1, T] meaningful, and the tables run from T = 51.5.
     """
     if not (0 <= k <= 4):
         raise DomainError(f"k={k} outside [0, 4]")
@@ -313,13 +311,9 @@ def i_k_quadrature_batch(ks: list[int], a: float, t: float,
         raise DomainError("no orders k requested")
     for k in ks:
         check_envelope(k, a, t)
-    return _quadrature(ks, a, t, sweep_plan(ks, a, t), engine)
-
-
-def _quadrature(ks: list[int], a: float, t: float, plan: SweepPlan,
-                engine: ZetaEngine) -> list[MomentEstimate]:
     out = []
-    for k, (value, diff, prop, rnd) in zip(ks, _quadrature_parts(ks, a, t, plan, engine)):
+    parts = _quadrature_parts(ks, a, t, sweep_plan(ks, a, t), engine)
+    for k, (value, diff, prop, rnd) in zip(ks, parts):
         if diff > 0.05 * abs(value):
             raise PrecisionError(
                 f"step-halving disagreement {diff:.3e} exceeds 5% of I_{k}({a},{t})")
@@ -339,8 +333,9 @@ def _quadrature_parts(ks: list[int], a: float, t: float, plan: SweepPlan,
         n = 2 * half_n
         h = (hi - lo) / n
         fine, coarse, engine_err = [], [], []
-        for i0 in range(0, n + 1, _SEGMENT):
-            i1 = min(i0 + _SEGMENT, n + 1)
+        # CHUNK is even, so every piece starts on a node of the halved rule
+        for i0 in range(0, n + 1, ZetaEngine.CHUNK):
+            i1 = min(i0 + ZetaEngine.CHUNK, n + 1)
             w = _gregory_weights(i0, i1, n)
             w_half = _gregory_weights(i0 // 2, (i1 + 1) // 2, half_n)
             if window is not None:
@@ -364,11 +359,6 @@ def _quadrature_parts(ks: list[int], a: float, t: float, plan: SweepPlan,
     return [tuple(math.fsum(float(p[j]) for p in parts)
                   for parts in (values, halving, propagated, rounding))
             for j in range(len(ks))]
-
-
-def i_k_quadrature(k: int, a: float, t: float, engine: ZetaEngine) -> MomentEstimate:
-    """Second moment of (zeta'/zeta)^(k) on [1, T] by the Gregory-trapezoid sweeps."""
-    return i_k_quadrature_batch([k], a, t, engine)[0]
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +451,6 @@ def d_k_batch(ks: list[int], a: float, t: float, zeros: ZeroTable,
         check_envelope(k, a, t)
     zeros.require_coverage(t)
     g = zeros.ordinates[zeros.ordinates <= t]
-    if g.size == 0:
-        return [MomentEstimate("D_discrete", k, a, t, 0.0, 0.0) for k in ks]
     sigma = 0.5 + a / math.log(t)
     vals, errs = engine.log_deriv_line(sigma, g, 2 * max(ks))
     out = []

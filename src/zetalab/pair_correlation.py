@@ -265,10 +265,30 @@ def gue_integral(beta: float) -> float:
             + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta))
 
 
-def montgomery_asymptotic(alpha: float, t: float) -> float:
-    """Small-alpha model T^{-2|alpha|} log T + |alpha| (o(1) factor dropped).
+def mean_log_square(t: float) -> float:
+    """M(T) = (1/(T log T)) int_0^T log^2(t/2 pi) dt = (L^2 - 2L + 2) / log T.
 
-    Only uniform on |alpha| <= 1; out-of-range requests are rejected.
+    Here L = log(T/2 pi).  Montgomery (Proc. Sympos. Pure Math. 24, 1973)
+    finds F by integrating over [0, T] the square of an explicit formula for
+    2 sum_g x^{i g} / (1 + (t - g)^2), x = T^alpha.  Its term from the gamma
+    factor of zeta is x^{-1+it} log(t/2 pi), up to O(1/t): 2 pi times the
+    density of zeros at height t.  That term's mean square over [0, T],
+    divided by the T log T of F's normalization, is x^{-2} M(T); the theorem
+    keeps only its limit, log T.  With u = t/2 pi the integral is
+    2 pi [u (log^2 u - 2 log u + 2)] from 0 to T/2 pi, which is
+    T (L^2 - 2L + 2).
+    """
+    big_l = math.log(t / (2.0 * math.pi))
+    return (big_l * big_l - 2.0 * big_l + 2.0) / math.log(t)
+
+
+def montgomery_asymptotic(alpha: float, t: float) -> float:
+    """Small-alpha model T^{-2|alpha|} M(T) + |alpha| at finite height.
+
+    Montgomery's theorem F = (1 + o(1)) T^{-2|alpha|} log T + |alpha| + o(1)
+    before its first term is taken to the limit: M(T) is
+    :func:`mean_log_square`, which tends to log T.  Only uniform on
+    |alpha| <= 1; out-of-range requests are rejected.
     """
     _require_finite(alpha=alpha, t=t)
     if abs(alpha) > 1.0:
@@ -276,4 +296,4 @@ def montgomery_asymptotic(alpha: float, t: float) -> float:
     if t < 50.0:
         raise DomainError("requires T >= 50")
     a = abs(alpha)
-    return t ** (-2.0 * a) * math.log(t) + a
+    return t ** (-2.0 * a) * mean_log_square(t) + a

@@ -213,13 +213,6 @@ class TestCriterion08SmallAlpha:
         ok = diff <= 0.3
         report(f"criterion 8 [alpha={alpha}]: empirical {emp:.4f}, "
                f"model {asym:.4f}, |diff| {diff:.4f}", ok)
-        if not ok and alpha == 0.1:
-            pytest.fail(
-                f"|diff| {diff:.3f} > 0.3: the model's neglected relative "
-                "correction decays only like 1/log T; near alpha = 0 it "
-                "shows up as log(T/2pi)-vs-log(T) scale mismatch worth "
-                "~0.8 in absolute terms at T = 5000, far above the 0.3 "
-                "budget.  See the decisions ledger.")
         assert ok
 
 
@@ -284,7 +277,7 @@ class TestCriterion10Properties:
             assert pair_count(tab100, 100.0, beta) == brute
 
         # quadrature step-halving stability at modest height
-        est = mo.i_k_quadrature(0, 1.0, 200.0, engine)
+        [est] = mo.i_k_quadrature_batch([0], 1.0, 200.0, engine)
         assert est.err_estimate < 0.01 * est.value
 
         elapsed = time.perf_counter() - start

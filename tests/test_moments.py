@@ -48,11 +48,11 @@ class TestQuadrature:
         assert abs(val.value) > 0.05 * spike_scale
 
     def test_refinement_doubling_within_err(self, engine, monkeypatch):
-        base = mo.i_k_quadrature(0, 1.0, 200.0, engine)
+        [base] = mo.i_k_quadrature_batch([0], 1.0, 200.0, engine)
         plan = mo.sweep_plan([0], 1.0, 200.0)
         doubled = mo.SweepPlan(*(nu and 2.0 * nu for nu in plan))
         monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: doubled)
-        denser = mo.i_k_quadrature(0, 1.0, 200.0, engine)
+        [denser] = mo.i_k_quadrature_batch([0], 1.0, 200.0, engine)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
 
     @pytest.mark.parametrize("n", [12, 25, 101, 1000])
@@ -86,7 +86,7 @@ class TestQuadrature:
                 return np.sqrt(f(u))[:, None], np.zeros((count, 1))
 
         a = d * math.log(t)
-        [rule] = mo._quadrature([0], a, t, mo.sweep_plan([0], a, t), Lorentzian())
+        [rule] = mo.i_k_quadrature_batch([0], a, t, Lorentzian())
         ref, _ = quad(f, 1.0, t, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
         assert rule.value == pytest.approx(ref, rel=1e-10)
 
@@ -102,13 +102,41 @@ class TestQuadrature:
 
     def test_envelope_validation(self, engine):
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(5, 1.0, 200.0, engine)
+            mo.i_k_quadrature_batch([5], 1.0, 200.0, engine)
         with pytest.raises(DomainError):
-            mo.i_k_quadrature(0, 0.05, 200.0, engine)
+            mo.i_k_quadrature_batch([0], 0.05, 200.0, engine)
 
     def test_no_orders_refused(self, engine):
         with pytest.raises(DomainError):
             mo.i_k_quadrature_batch([], 1.0, 200.0, engine)
+
+    def test_sweeps_walk_engine_blocks(self):
+        """At (T, a) = (1000, 0.5) the interior sweep holds 75,537 nodes.  Each
+        engine call takes at most CHUNK of them and starts on an even node
+        index, and the calls of each sweep tile its n + 1 nodes once."""
+        t, a, ks = 1000.0, 0.5, [0, 1, 2]
+        calls = []
+
+        class Recorder:
+            def log_deriv_uniform(self, sigma, t0, step, count, kmax):
+                calls.append((t0, step, count))
+                return np.ones((count, kmax + 1), complex), np.zeros((count, kmax + 1))
+
+        mo.i_k_quadrature_batch(ks, a, t, Recorder())
+        assert max(count for _, _, count in calls) == ZetaEngine.CHUNK
+        for lo, hi, _, _ in mo._sweeps(t, a / math.log(t), mo.sweep_plan(ks, a, t)):
+            step = calls[0][1]
+            n = round((hi - lo) / step)
+            assert n % 2 == 0 and lo + n * step == pytest.approx(hi, rel=1e-14)
+            node = 0
+            while node < n + 1:
+                t0, h, count = calls.pop(0)
+                assert h == step
+                assert t0 == lo + node * step
+                assert node % 2 == 0 and 0 < count <= ZetaEngine.CHUNK
+                node += count
+            assert node == n + 1
+        assert not calls
 
 
 #: the calibration grid of the node-density model: (T, a)
@@ -280,6 +308,11 @@ class TestFromF:
 
 
 class TestDiscrete:
+    def test_below_the_first_zero_is_zero(self, engine):
+        table = ZeroTable(np.array([]), 10.0)
+        for k, est in zip((0, 1, 2), mo.d_k_batch([0, 1, 2], 1.0, 10.0, table, engine)):
+            assert (est.kind, est.k, est.value, est.err_estimate) == ("D_discrete", k, 0.0, 0.0)
+
     def test_single_zero_equals_engine_evaluation(self, engine):
         gamma_1 = 14.134725141734694
         table = ZeroTable(np.array([gamma_1]), 20.0)
@@ -344,6 +377,9 @@ class TestDiscrete:
                                          (zeta_engine, "_bessel_iv"),
                                          (zeta_engine, "FAST"),
                                          (mo, "farmer_ratio"),
+                                         (mo, "i_k_quadrature"),
+                                         (mo, "_quadrature"),
+                                         (mo, "_SEGMENT"),
                                          (mo, "_pair_data"),
                                          (kernels, "_h_deriv"),
                                          (kernels, "_l_deriv"),

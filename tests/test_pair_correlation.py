@@ -299,10 +299,21 @@ class TestSineIntegral:
 
 class TestMontgomeryAsymptotic:
     def test_plug_in_values(self):
-        assert montgomery_asymptotic(0.0, 100.0) == pytest.approx(math.log(100.0))
+        big_l = math.log(100.0 / (2.0 * math.pi))
+        assert montgomery_asymptotic(0.0, 100.0) == pytest.approx(
+            (big_l ** 2 - 2.0 * big_l + 2.0) / math.log(100.0))
         t = math.exp(10.0)
+        big_l = 10.0 - math.log(2.0 * math.pi)
         assert montgomery_asymptotic(1.0, t) == pytest.approx(
-            math.exp(-20.0) * 10.0 + 1.0)
+            math.exp(-20.0) * (big_l ** 2 - 2.0 * big_l + 2.0) / 10.0 + 1.0)
+
+    @pytest.mark.parametrize("t", [50.0, 1000.0, 6000.0])
+    def test_mean_log_square_against_quadrature(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda u: mpmath.log(u / (2 * mpmath.pi)) ** 2,
+                              [0, 2 * mpmath.pi, t]) / (t * mpmath.log(t))
+        assert pair_correlation.mean_log_square(t) == pytest.approx(float(ref), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
