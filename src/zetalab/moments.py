@@ -138,15 +138,15 @@ def _gregory_weights(i0: int, i1: int, n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 class SweepPlan(NamedTuple):
-    """Nodes per width a/log T of the interior sweep and of the end sweeps.
+    """Nodes per width a/log T of the interior sweep and at each end of [1, T].
 
-    ``left`` or ``right`` is None when that end of [1, T] stays with the
-    interior sweep.
+    An end density is never below the interior's; an end whose density
+    equals it stays with the interior sweep.
     """
 
     interior: float
-    left: float | None
-    right: float | None
+    left: float
+    right: float
 
 
 def _diagonal_scale(k: int, d: float, t: float) -> float:
@@ -230,7 +230,7 @@ def sweep_plan(ks: list[int], a: float, t: float) -> SweepPlan:
 
     The interior density comes from the geometric term alone.  Each end
     term is algebraic, nu^-7, so the density it needs follows in closed
-    form; an end that needs more than the interior gets its own sweep.
+    form; each end takes the larger of its own and the interior density.
     When [1, T] is too short to hold both windows, one sweep takes the
     largest density.
     """
@@ -239,19 +239,17 @@ def sweep_plan(ks: list[int], a: float, t: float) -> SweepPlan:
     left = max((_end_error_1(1.0, k, d, t) / DENSITY_TARGET) ** (1 / 7) for k in ks)
     right = max((_end_error_t(1.0, k, t) / DENSITY_TARGET) ** (1 / 7) for k in ks)
     if t - 1.0 < 4.0 * _WINDOW_HALF * d:
-        return SweepPlan(max(interior, left, right), None, None)
-    return SweepPlan(interior, left if left > interior else None,
-                     right if right > interior else None)
+        m = max(interior, left, right)
+        return SweepPlan(m, m, m)
+    return SweepPlan(interior, max(interior, left), max(interior, right))
 
 
 def _modelled_error(k: int, a: float, t: float, plan: SweepPlan) -> float:
     """The error model's absolute error of I_k(a,T) under ``plan``."""
     d = a / math.log(t)
-    left = plan.left or plan.interior
-    right = plan.right or plan.interior
     return _diagonal_scale(k, d, t) * (_interior_error(plan.interior, k)
-                                       + _end_error_1(left, k, d, t)
-                                       + _end_error_t(right, k, t))
+                                       + _end_error_1(plan.left, k, d, t)
+                                       + _end_error_t(plan.right, k, t))
 
 
 def _half_erfc(x: np.ndarray) -> np.ndarray:
@@ -266,11 +264,12 @@ def _sweeps(t: float, d: float, plan: SweepPlan) -> list[tuple[float, float, flo
     at its end of [1, T] and 7.7e-13 at the other end of its 2 _WINDOW_HALF d;
     the interior sweep integrates f times 1 - phi_left - phi_right.  The
     windows are analytic, so no sweep has a junction error, and each end of
-    [1, T] is summed at its own step.
+    [1, T] is summed at its own step.  An end has its own sweep exactly when
+    its density exceeds the interior's.
     """
     reach = 2.0 * _WINDOW_HALF * d
-    left = plan.left and (lambda x: _half_erfc((x - 1.0) / d - _WINDOW_HALF))
-    right = plan.right and (lambda x: _half_erfc((t - x) / d - _WINDOW_HALF))
+    left = plan.left > plan.interior and (lambda x: _half_erfc((x - 1.0) / d - _WINDOW_HALF))
+    right = plan.right > plan.interior and (lambda x: _half_erfc((t - x) / d - _WINDOW_HALF))
     if not (left or right):
         return [(1.0, t, plan.interior, None)]
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (CoverageError, DomainError, IoError, MissedZeroError,
                      OrderError, ParseError, RangeError)
-from .zeta_engine import TWO_PI, ZetaEngine, riemann_siegel_theta_array
+from .zeta_engine import TWO_PI, ZetaEngine, horner, riemann_siegel_theta_array
 
 SCAN_START = 2.0
 SCAN_STEP = 0.05
@@ -137,15 +137,6 @@ def _jet_coefficients(engine: ZetaEngine, centres: np.ndarray) -> np.ndarray:
     return np.real(derivs * scale * rotation[:, None])
 
 
-def _horner(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[m, j] h[m]^j for every row m, by Horner's rule."""
-    acc = coeffs[:, JET].copy()
-    for j in range(JET - 1, -1, -1):
-        acc *= h
-        acc += coeffs[:, j]
-    return acc
-
-
 def _refine_brackets(engine: ZetaEngine, lo: np.ndarray,
                      sign_lo: np.ndarray) -> np.ndarray:
     """Bisect every bracket [lo, lo + SCAN_STEP] to at most ROOT_TOL wide.
@@ -162,7 +153,7 @@ def _refine_brackets(engine: ZetaEngine, lo: np.ndarray,
     for _ in range(math.ceil(math.log2(SCAN_STEP / ROOT_TOL))):
         width *= 0.5
         mid = h_lo + width
-        h_lo = np.where(np.sign(_horner(coeffs, mid)) == sign_lo, mid, h_lo)
+        h_lo = np.where(np.sign(horner(coeffs.T, mid)) == sign_lo, mid, h_lo)
     return centres + (h_lo + 0.5 * width)
 
 

@@ -168,6 +168,15 @@ def _tail_bound(sigma_min: float, t_abs: float, n_len: int, r_terms: int) -> flo
     return math.exp(min(log_term, 300.0))
 
 
+def horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_d coeffs[d] x^d by Horner's rule; each coeffs[d] broadcasts against x."""
+    out = coeffs[-1] + 0.0 * x
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.ndarray:
     """d^j/ds^j of the non-sum part of the Euler-Maclaurin formula.
 
@@ -189,11 +198,7 @@ def _em_smooth_derivs(s: np.ndarray, n_len: int, jmax: int, r_terms: int) -> np.
     poly[0, 0] += 0.5
     coeffs = leibniz @ poly                  # coeffs[j, d] multiplies s^d
     s_col = s[..., None]
-    out = np.empty(s.shape + (jmax + 1,), dtype=complex)
-    out[...] = coeffs[:, -1]
-    for d in range(coeffs.shape[1] - 2, -1, -1):
-        out *= s_col
-        out += coeffs[:, d]
+    out = horner(coeffs.T, s_col)
 
     signed_fact = np.array([(-1.0) ** m * math.factorial(m) for m in orders])
     pole = np.cumprod(np.broadcast_to(1.0 / (s_col - 1.0), out.shape), axis=-1)
@@ -479,15 +484,6 @@ _THETA_SHIFT = math.ceil((2.0 ** (THETA_TERMS + 1) * abs(_stirling_coefficient(T
                           / _THETA_TOL) ** (1.0 / (2 * THETA_TERMS + 1)) - 0.25)
 
 
-def _horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] x^n."""
-    out = np.full(x.shape, coeffs[-1], dtype=x.dtype)
-    for c in reversed(coeffs[:-1]):
-        out *= x
-        out += c
-    return out
-
-
 def riemann_siegel_theta_array(ts: np.ndarray) -> np.ndarray:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, vectorized; odd in t.
 
@@ -504,11 +500,11 @@ def riemann_siegel_theta_array(ts: np.ndarray) -> np.ndarray:
     high = t >= _THETA_CUT
     th = t[high]
     out[high] = (0.5 * th * (np.log(th / TWO_PI) - 1.0) - math.pi / 8
-                 + _horner(_THETA_C, 1.0 / (th * th)) / th)
+                 + horner(_THETA_C, 1.0 / (th * th)) / th)
     if th.size < t.size:
         tl = t[~high]
         w = 0.25 + _THETA_SHIFT + 0.5j * tl
-        val = np.imag((w - 0.5) * np.log(w) - w + _horner(_STIRLING_C, 1.0 / (w * w)) / w)
+        val = np.imag((w - 0.5) * np.log(w) - w + horner(_STIRLING_C, 1.0 / (w * w)) / w)
         val -= np.sum(np.arctan2(0.5 * tl[:, None], 0.25 + np.arange(_THETA_SHIFT)), axis=1)
         out[~high] = val - 0.5 * tl * math.log(math.pi)
     return np.where(ts < 0, -out, out)

@@ -122,17 +122,23 @@ class TestCriterion04K0Reduction:
         assert ok
 
 
+def quad_cell(quad_memo, k, a, t):
+    """I_k(a,T) from the shared sweep of its order group, (0, 1, 2) or (3, 4)."""
+    ks = (0, 1, 2) if k <= 2 else (3, 4)
+    return quad_memo.batch(ks, a, t)[ks.index(k)]
+
+
 # -- criterion 5: two-sided moment check ---------------------------------------
 
 CRIT5_CELLS = [(k, a, t) for t in (1000.0, 3000.0)
-               for a in (0.5, 1.0, 2.0) for k in (0, 1, 2)]
+               for a in (0.5, 1.0, 2.0) for k in range(5)]
 
 
 class TestCriterion05TwoSided:
     @pytest.mark.parametrize("k,a,t", CRIT5_CELLS,
                              ids=[f"k{k}-a{a}-T{t:g}" for k, a, t in CRIT5_CELLS])
     def test_cell(self, quad_memo, zero_source, k, a, t):
-        quad_est = quad_memo.batch((0, 1, 2), a, t)[k]
+        quad_est = quad_cell(quad_memo, k, a, t)
         pair_est = mo.i_k_from_zeros(k, a, t, zero_source.table(t))
         rel = abs(quad_est.value - pair_est.value) / quad_est.value
         ok = rel <= 0.25
@@ -165,7 +171,7 @@ class TestCriterion06FromF:
                              ids=[f"k{k}-a{a}" for k, a in CRIT6_CELLS])
     def test_cell(self, quad_memo, fgrid1000, k, a):
         t = 1000.0
-        quad_est = quad_memo.batch((0, 1, 2), a, t)[k]
+        quad_est = quad_cell(quad_memo, k, a, t)
         f_est = mo.i_k_from_f(k, a, t, fgrid1000)
         rel = abs(quad_est.value - f_est.value) / quad_est.value
         ok = rel <= 0.25
@@ -190,10 +196,10 @@ class TestCriterion06FromF:
 # -- criterion 7: moment / discrete-moment relation ------------------------------
 
 class TestCriterion07DiscreteRelation:
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", range(5))
     def test_cell(self, quad_memo, zero_source, engine, k):
         t, a = 3000.0, 1.0
-        i_est = quad_memo.batch((0, 1, 2), a, t)[k]
+        i_est = quad_cell(quad_memo, k, a, t)
         d_est = mo.d_k(k, 2.0 * a, t, zero_source.table(t), engine)
         ratio = i_est.value / (2.0 * math.pi * d_est.value)
         ok = 0.7 <= ratio <= 1.3

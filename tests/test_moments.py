@@ -50,7 +50,7 @@ class TestQuadrature:
     def test_refinement_doubling_within_err(self, engine, monkeypatch):
         [base] = mo.i_k_quadrature_batch([0], 1.0, 200.0, engine)
         plan = mo.sweep_plan([0], 1.0, 200.0)
-        doubled = mo.SweepPlan(*(nu and 2.0 * nu for nu in plan))
+        doubled = mo.SweepPlan(*(2.0 * nu for nu in plan))
         monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: doubled)
         [denser] = mo.i_k_quadrature_batch([0], 1.0, 200.0, engine)
         assert abs(denser.value - base.value) <= base.err_estimate + denser.err_estimate
@@ -148,17 +148,17 @@ class TestDensityModel:
     @pytest.mark.parametrize("t, a", DENSITY_CELLS)
     @pytest.mark.parametrize("ks", [(0, 1, 2), (4,)], ids=["k012", "k4"])
     def test_calibration(self, quad_memo, engine, monkeypatch, ks, t, a):
-        """Against sweeps at 32 nodes per width (each end sweep at twice its
-        density): the gap lies within err_estimate, and within the modelled
-        error of both rules plus the engine's error, which the two rules
-        sample at different nodes (twice the denser rule's propagated
-        part).  Against the 16-nodes-per-width single sweep it replaces:
-        the value lies within that rule's err_estimate."""
+        """Against sweeps at 32 nodes per width (each end at twice its
+        density, and never below 32): the gap lies within err_estimate, and
+        within the modelled error of both rules plus the engine's error,
+        which the two rules sample at different nodes (twice the denser
+        rule's propagated part).  Against the 16-nodes-per-width single sweep
+        it replaces: the value lies within that rule's err_estimate."""
         plan = mo.sweep_plan(list(ks), a, t)
-        dense_plan = mo.SweepPlan(32.0, *(nu and 2.0 * nu for nu in plan[1:]))
+        dense_plan = mo.SweepPlan(32.0, *(max(32.0, 2.0 * nu) for nu in plan[1:]))
         dense = mo._quadrature_parts(list(ks), a, t, dense_plan, engine)
         got = quad_memo.batch(ks, a, t)
-        monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: mo.SweepPlan(16.0, None, None))
+        monkeypatch.setattr(mo, "sweep_plan", lambda ks, a, t: mo.SweepPlan(16.0, 16.0, 16.0))
         parent = mo.i_k_quadrature_batch(list(ks), a, t, engine)
         for k, est, ref, old in zip(ks, got, dense, parent):
             gap = abs(est.value - ref[0])
@@ -175,13 +175,14 @@ class TestDensityModel:
         for t, a in DENSITY_CELLS:
             plan = mo.sweep_plan(ks, a, t)
             d = a / math.log(t)
-            left, right = plan.left or plan.interior, plan.right or plan.interior
             for k in ks:
                 assert mo._interior_error(plan.interior, k) <= mo.DENSITY_TARGET
-                assert mo._end_error_1(left, k, d, t) <= 1.000001 * mo.DENSITY_TARGET
-                assert mo._end_error_t(right, k, t) <= 1.000001 * mo.DENSITY_TARGET
-            assert plan.left is None or plan.left > plan.interior
-            assert plan.right is None or plan.right > plan.interior
+                assert mo._end_error_1(plan.left, k, d, t) <= 1.000001 * mo.DENSITY_TARGET
+                assert mo._end_error_t(plan.right, k, t) <= 1.000001 * mo.DENSITY_TARGET
+            assert plan.left >= plan.interior and plan.right >= plan.interior
+            ends = [(lo == 1.0, nu) for lo, _, nu, _ in mo._sweeps(t, d, plan)[1:]]
+            assert ends == [(at_1, nu) for at_1, nu in ((True, plan.left), (False, plan.right))
+                            if nu > plan.interior]
 
 
 class TestZeroPairSum:

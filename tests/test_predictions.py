@@ -157,6 +157,15 @@ class TestTauberian:
               f"windows = {[round(w[2], 3) for w in rep.window_averages]}, "
               f"mass_sup = {rep.mass_sup:.3f}")
 
+    def test_grid_whose_alpha_1_node_rounds_down(self, zero_source):
+        """At step 1/49 the node 49 step is 0.9999999999999999, and it
+        samples alpha = 1 within the check's own 1e-9."""
+        from zetalab.pair_correlation import f_grid
+        grid = f_grid(zero_source.table(100.0), 100.0, 6.0, 1 / 49)
+        assert grid.alphas[49] < 1.0
+        rep = tauberian_compare(grid, k=1, b=2.0)
+        assert rep.ratio > 0
+
     def test_short_grid_rejected(self):
         grid = FGrid(100.0, np.array([0.0, 1.0, 2.0]), np.ones(3))
         with pytest.raises(RangeError):

@@ -386,6 +386,49 @@ class TestSinglePoint:
             assert np.all(np.abs(moved - vals) <= g_err * (1.0 + 1e-6))
 
 
+def _power_sum(coeffs, x):
+    """sum_d coeffs[d] x^d, term by term from the running power x^d."""
+    total, power = 0.0 * x, 1.0 + 0.0 * x
+    for c in coeffs:
+        total = total + c * power
+        power = power * x
+    return total
+
+
+class TestHorner:
+    """Small integer coefficients at dyadic points, where every product and
+    sum is exact, so Horner's rule equals the power sum bit for bit."""
+
+    rng = np.random.default_rng(20261020)
+
+    @pytest.mark.parametrize("x", [np.arange(-12, 13) / 8.0,
+                                   (np.arange(-12, 13) + 1j * np.arange(12, -13, -1)) / 8.0],
+                             ids=["real", "complex"])
+    def test_list_of_floats(self, x):
+        """The theta and Stirling series: one coefficient list for every point."""
+        coeffs = [3.0, -1.0, 2.0, 5.0, -4.0, 1.0, 7.0]
+        got = zeta_engine.horner(coeffs, x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert np.array_equal(got, _power_sum(coeffs, x))
+
+    def test_per_point_rows(self):
+        """The zero jets: row m of the coefficients belongs to point m."""
+        coeffs = self.rng.integers(-9, 10, size=(40, 9)).astype(float)
+        x = self.rng.integers(-16, 17, size=40) / 16.0
+        got = zeta_engine.horner(coeffs.T, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, _power_sum(coeffs.T, x))
+
+    def test_per_column_coefficients(self):
+        """The smooth part: column j of the result has its own polynomial."""
+        coeffs = self.rng.integers(-9, 10, size=(5, 8)).astype(float)
+        x = ((self.rng.integers(-16, 17, size=30) + 1j * self.rng.integers(-16, 17, size=30))
+             / 16.0)[:, None]
+        got = zeta_engine.horner(coeffs.T, x)
+        assert got.shape == (30, 5)
+        assert np.array_equal(got, _power_sum(coeffs.T, x))
+
+
 class TestTheta:
     def test_against_stirling_oracle(self):
         for t in (2.0, 5.0, 14.1, 100.0, 1000.0):
