@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -236,7 +237,13 @@ def cmd_report(args) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    It names each command (``dest="command"``) and holds no handler:
+    ``cmd_dispatch`` looks ``cmd_<command>`` up at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Zero statistics and log-derivative moments of the "
@@ -259,41 +266,39 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, parents, help, **kwargs):
-        p = sub.add_parser(name, parents=parents, help=help, **kwargs)
-        p.set_defaults(func=func)
-        return p
+    def command(name, parents, help, **kwargs):
+        return sub.add_parser(name, parents=parents, help=help, **kwargs)
 
-    p = command("zeros", cmd_zeros, [zero_table, out], "compute or import a zero table")
+    p = command("zeros", [zero_table, out], "compute or import a zero table")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--tmax", type=float)
     source.add_argument("--import", dest="import_path")
 
-    command("ftable", cmd_ftable, [zero_table, tmax, f_grid, out],
+    command("ftable", [zero_table, tmax, f_grid, out],
             "sample the pair-correlation function F(alpha,T)")
 
-    p = command("moments", cmd_moments, [zero_table, lists, tmax, f_grid, out],
+    p = command("moments", [zero_table, lists, tmax, f_grid, out],
                 "second moments of (zeta'/zeta)^(k), three methods")
     p.add_argument("--method", choices=(*METHODS, "all"), default="all")
 
-    command("discrete", cmd_discrete, [zero_table, lists, tmax, out],
+    command("discrete", [zero_table, lists, tmax, out],
             "discrete moments D_k(2a,T) against I_k(a,T)")
 
-    p = command("predict", cmd_predict, [out], "closed-form predicted moment coefficients")
+    p = command("predict", [out], "closed-form predicted moment coefficients")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
 
-    p = command("identity", cmd_identity, [out],
+    p = command("identity", [out],
                 "quadrature residual of the coefficient identity")
     p.add_argument("--kmax", type=_int_at_least(0), required=True)
 
-    p = command("tauberian", cmd_tauberian, [zero_table, tmax, f_grid, out],
+    p = command("tauberian", [zero_table, tmax, f_grid, out],
                 "weighted-integral vs window-average comparator")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
 
     # no abbreviations: --out, which report does not take, would pass for --out-dir
-    p = command("report", cmd_report, [zero_table, tmax, lists, f_grid],
+    p = command("report", [zero_table, tmax, lists, f_grid],
                 "emit ftable/moments/discrete/identity CSV files", allow_abbrev=False)
     p.add_argument("--out-dir", type=Path, required=True)
     return parser
@@ -301,8 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_dispatch(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on every call, so a cmd_* attribute replaced after the
+    # parser was built is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except ZetalabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

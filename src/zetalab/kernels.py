@@ -82,8 +82,26 @@ def _inv_power(b: float, m: int, x):
     The product is built by repeated multiplication in place, cheaper than
     numpy's general complex power, starting from b^(-m) w so that no
     partial product falls below the result in magnitude.
+
+    w itself is built in real arithmetic, written into the real and
+    imaginary parts of one complex buffer.  With y = x/b it is
+    (1 - iy)/(1 + y^2) for |y| <= 1 and, in the form in 1/y,
+    (|1/y| - i sgn y)/(|1/y| + |y|) for |y| > 1, where y^2 would overflow
+    past 1e154.  Both are u/D - i c/D with u = 1/max(1, |y|),
+    c = clip(y, -1, 1) and D = u + c y, without a branch: Smith's division
+    of 1 by 1 + iy, which on arrays matches np.reciprocal(1 + iy) bit for
+    bit, and no intermediate exceeds |y|.
     """
-    w = np.reciprocal(1.0 + 1j * (np.asarray(x) / b))
+    y = np.divide(x, -b, out=np.empty(np.shape(x)))   # -y, so that Im w = c/D
+    u = np.abs(y, out=np.empty_like(y))
+    np.maximum(u, 1.0, out=u)
+    np.divide(1.0, u, out=u)
+    c = np.clip(y, -1.0, 1.0)
+    den = np.multiply(c, y, out=y)
+    den += u
+    w = np.empty(den.shape, dtype=complex)
+    np.divide(u, den, out=w.real)
+    np.divide(c, den, out=w.imag)
     power = w * b ** (-m)
     for _ in range(m - 1):
         power *= w
@@ -93,8 +111,12 @@ def _inv_power(b: float, m: int, x):
 def kernel_eval(spec: KernelSpec, x):
     """Evaluate the kernel (or its derivative) at x; accepts arrays."""
     c, m = _closed_form(spec)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.real(c * math.factorial(m) * _inv_power(spec.b, m + 1, x_arr))
+    power = _inv_power(spec.b, m + 1, np.asarray(x, dtype=float))
+    # c is real or imaginary, so Re{c m! power} takes one part of power
+    if c.imag:
+        out = (-c.imag * math.factorial(m)) * power.imag
+    else:
+        out = (c.real * math.factorial(m)) * power.real
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -1,17 +1,24 @@
 """Pair statistics of the zero ordinates: F(alpha,T), pair counts, GUE.
 
 F(alpha,T) = (2 pi / (T log T)) * sum_{0<g,g'<=T} T^{i alpha (g-g')} w(g-g')
-with w(u) = 4/(4+u^2).  Every weighted double sum over zero pairs goes
-through ``pair_sum``: it folds the sum onto ordered pairs with positive
-difference (the kernels are even, so each such pair counts twice beside
-the n diagonal terms) and truncates at |g-g'| > cutoff, where the weight
-makes the remainder negligible; the brute-force oracle in the tests
-validates the truncation.  ``f_alpha`` is that sum with a cosine kernel;
-``f_grid`` samples the same sum on a uniform alpha grid as a grid-factored
-matrix product over blocks of pairs (Odlyzko & Schoenhage, Trans. AMS 309,
-1988): sample m = G q + r splits e^{i m theta} into an outer factor
-e^{i G q theta} and an inner factor e^{i r theta}, and one real GEMM per
-block of outer rows sums the pairs for G samples at a time.
+with w(u) = 4/(4+u^2).  Every weighted double sum over zero pairs runs
+over one pair set: the positive differences g - g' within
+``pair_cutoff(t)`` and their weights (the kernels are even, so each such
+pair counts twice beside the n diagonal terms; the weight makes the
+truncated remainder negligible, and the brute-force oracle in the tests
+validates the truncation).  The set is gathered once per (table, T) and
+kept, read-only, on the ``ZeroTable`` it came from, so ``f_grid``,
+``pair_sum``, ``f_alpha`` and every ``moments.i_k_from_zeros`` call on
+one table share it, and it is freed with the table.
+
+``pair_sum`` evaluates its kernel over blocks of ``PAIR_BLOCK`` pairs, so
+its temporaries stay one block long whatever the height.  ``f_alpha`` is
+that sum with a cosine kernel; ``f_grid`` samples the same sum on a
+uniform alpha grid as a grid-factored matrix product over the same blocks
+(Odlyzko & Schoenhage, Trans. AMS 309, 1988): sample m = G q + r splits
+e^{i m theta} into an outer factor e^{i G q theta} and an inner factor
+e^{i r theta}, and one real GEMM per block of outer rows sums the pairs
+for G samples at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ MAX_ALPHAS = 10 ** 6
 #: f_grid samples per inner factor (the G of m = G q + r); of 8, 16 and 32,
 #: 16 timed fastest on the 301-sample grids at T = 1000-3000
 GRID = 16
-#: pairs per block of f_grid's product; the inner factor of a block is
-#: GRID x PAIR_BLOCK complex numbers (2 MB)
+#: pairs per block of pair_sum's kernel and of f_grid's product; the inner
+#: factor of an f_grid block is GRID x PAIR_BLOCK complex numbers (2 MB)
 PAIR_BLOCK = 8192
 #: outer rows built per product, so a block's outer factor is at most
 #: ROWS x PAIR_BLOCK complex numbers (8 MB) whatever the sample count
@@ -104,11 +111,11 @@ def _window_starts(zeros: ZeroTable, t: float, reach: float) -> tuple[np.ndarray
     return g, np.searchsorted(g, g - reach, side="left")
 
 
-def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _gather_pairs(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
     """(zero count, positive pair differences within cutoff, their weights).
 
     The differences run over i in increasing order and, within each i,
-    over g[lo[i]], ..., g[i-1].
+    over g[lo[i]], ..., g[i-1].  Both arrays come back read-only.
     """
     g, lo = _window_starts(zeros, t, pair_cutoff(t))
     counts = np.arange(g.size) - lo
@@ -116,7 +123,25 @@ def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]
     starts = np.cumsum(counts) - counts   # where each i's run begins in the output
     j = np.arange(i.size) - np.repeat(starts - lo, counts)
     diffs = g[i] - g[j]
-    return g.size, diffs, pair_weight(diffs)
+    weights = pair_weight(diffs)
+    diffs.flags.writeable = False
+    weights.flags.writeable = False
+    return g.size, diffs, weights
+
+
+def _pair_data(zeros: ZeroTable, t: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The table's pair set at height t, gathered on first use.
+
+    Coverage is checked on every call, before the lookup.  The table keeps
+    one set: a call at another height replaces it.
+    """
+    zeros.require_coverage(t)
+    found = zeros._pair_set.get(t)
+    if found is None:
+        found = _gather_pairs(zeros, t)
+        zeros._pair_set.clear()
+        zeros._pair_set[t] = found
+    return found
 
 
 def pair_sum(zeros: ZeroTable, t: float, kernel) -> float:
@@ -124,10 +149,15 @@ def pair_sum(zeros: ZeroTable, t: float, kernel) -> float:
 
     `kernel` maps an array of differences to an array of values; the
     diagonal contributes n * kernel(0) (w(0) = 1) and each positive
-    difference within the cutoff counts twice.
+    difference within the cutoff counts twice.  The kernel is evaluated
+    on blocks of PAIR_BLOCK differences.
     """
     n, diffs, weights = _pair_data(zeros, t)
-    return n * float(kernel(0.0)) + 2.0 * float(np.dot(weights, kernel(diffs)))
+    off = 0.0
+    for lo in range(0, diffs.size, PAIR_BLOCK):
+        block = slice(lo, lo + PAIR_BLOCK)
+        off += float(np.dot(weights[block], kernel(diffs[block])))
+    return n * float(kernel(0.0)) + 2.0 * off
 
 
 def f_alpha(zeros: ZeroTable, t: float, alpha: float) -> float:

@@ -45,15 +45,23 @@ DEFAULT_CACHE = "./zetalab-cache"
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Strictly increasing zero ordinates covering (0, t_max]."""
+    """Strictly increasing zero ordinates covering (0, t_max].
+
+    The ordinates are a read-only copy of the input.  ``_pair_set``, which
+    is not a field (no repr, no comparison), holds ``pair_correlation``'s
+    pair set for one height, ``{t: (n, diffs, weights)}``: every pair route
+    on the table shares one build, and the set is freed with the table.
+    """
 
     ordinates: np.ndarray
     t_max: float
     source: str = "computed"
 
     def __post_init__(self):
-        arr = np.asarray(self.ordinates, dtype=float)
+        arr = np.array(self.ordinates, dtype=float)
+        arr.flags.writeable = False
         object.__setattr__(self, "ordinates", arr)
+        object.__setattr__(self, "_pair_set", {})
         if self.source not in ("computed", "imported"):
             raise DomainError(f"unknown source {self.source!r}")
         if not math.isfinite(self.t_max):
@@ -74,7 +82,7 @@ class ZeroTable:
         """Sub-table covering (0, t]; requires t <= t_max."""
         self.require_coverage(t)
         cut = int(np.searchsorted(self.ordinates, t, side="right"))
-        return ZeroTable(self.ordinates[:cut].copy(), t, self.source)
+        return ZeroTable(self.ordinates[:cut], t, self.source)
 
     def require_coverage(self, t: float) -> None:
         if not t <= self.t_max:

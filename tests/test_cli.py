@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import zetalab
+from zetalab import cli
 from zetalab import moments as mo
 from zetalab import predictions as pred
 from zetalab import zero_catalog as zc
@@ -88,6 +89,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cmd_dispatch(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_a_handler_replaced_after_the_first_dispatch_runs(self, tmp_path, monkeypatch):
+        """The parser is built once per process; dispatch looks cmd_<command> up
+        on every call, so a wrapped or patched handler is the one that runs."""
+        argv = ["predict", "--k", "0", "--a", "1", "--out", str(tmp_path / "p.csv")]
+        assert cmd_dispatch(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args) or 7)
+        assert cmd_dispatch(["report", "--tmax", "51.5", "--k", "0", "--a", "1",
+                             "--out-dir", str(tmp_path / "r")]) == 7
+        assert [args.command for args in seen] == ["report"]
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("argv", [
         ["predict", "--k", "1", "--a", "1", "--threads", "2"],

@@ -1,6 +1,7 @@
 """Kernel tests: closed forms, parity, scaling, Fourier pairs, boundedness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zetalab.errors import DomainError, UnsupportedError
-from zetalab.kernels import KernelSpec, kernel_eval, kernel_fourier
+from zetalab.kernels import KernelSpec, _inv_power, kernel_eval, kernel_fourier
 
 widths = st.floats(0.05, 4.0)
 points = st.floats(-30.0, 30.0)
@@ -105,6 +106,29 @@ class TestLargeArguments:
                     worst = max(worst, np.max(np.abs(got - direct)) * b ** (m + 1)
                                 / math.factorial(m))
         assert worst <= 4e-15
+
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+    def test_w_within_two_ulp_of_the_complex_reciprocal(self, b):
+        """The real-arithmetic w against numpy's 1/(1 + iy), |y| <= 1e150."""
+        rng = np.random.default_rng(1)
+        y = np.concatenate([rng.uniform(-3.0, 3.0, 20000),
+                            rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-150.0, 150.0, 20000),
+                            [0.0, 1.0, -1.0, 1e150, -1e150]])
+        x = y * b
+        got = _inv_power(b, 1, x)
+        want = np.reciprocal(1.0 + 1j * (x / b)) * b ** -1.0
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.all(np.abs(g - w) <= 2.0 * np.spacing(np.abs(w)))
+
+    def test_w_raises_no_warning_up_to_the_float_range(self):
+        """y*y overflows past 1e154; the form in 1/y never squares |y| > 1."""
+        y = np.array([1e154, -1e160, 1e200, 1e308, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _inv_power(1.0, 1, y)
+        assert np.all(w.real >= 0.0) and np.all(w.real <= 1e-300)
+        assert np.array_equal(w.imag, -1.0 / y)
 
 
 class TestSpecValidation:

@@ -1,6 +1,7 @@
 """Moment tests: synthetic closed forms, cross-method agreement, degenerate sums."""
 
 import math
+import tracemalloc
 
 import importlib.util
 
@@ -239,6 +240,20 @@ class TestZeroPairSum:
             want = ((-1.0) ** k / (2.0 ** (2 * k) * math.pi ** (2 * k))
                     * log_t ** (2 * k + 1) * total)
             assert mo.i_k_from_zeros(k, a, t, tab).value == want
+
+    def test_warm_call_works_in_blocks(self, zero_source):
+        """A warm call's temporaries are a few PAIR_BLOCK-long arrays; over all
+        of the 149,733 pairs at T = 1500 they took 8.4 MB."""
+        t = 1500.0
+        tab = zero_source.table(t)
+        mo.i_k_from_zeros(2, 2.0, t, tab)
+        tracemalloc.start()
+        try:
+            mo.i_k_from_zeros(2, 2.0, t, tab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_diagonal_sign_and_scale(self, zero_source):
         tab = zero_source.table(T_UNIT)

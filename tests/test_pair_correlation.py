@@ -1,20 +1,24 @@
 """Pair statistics tests: brute-force equivalence, windows, GUE, asymptotics."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from zetalab import pair_correlation
+from zetalab import moments, pair_correlation
 from zetalab.errors import CoverageError, DomainError, RangeError
 from zetalab.pair_correlation import (GRID, PAIR_BLOCK, ROWS, FGrid, _pair_data,
                                       f_alpha, f_grid, f_window_integral,
                                       gue_integral, montgomery_asymptotic,
                                       pair_count, pair_cutoff, pair_sum,
                                       pair_weight)
+from zetalab.kernels import KernelSpec, kernel_eval
 from zetalab.zero_catalog import ZeroTable
+from zetalab.zeta_engine import TWO_PI
 
 EPS = np.finfo(float).eps
 
@@ -180,6 +184,96 @@ class TestPairSum:
         assert n == g.size and ref.size == 149_733
         assert np.array_equal(diffs.view(np.uint64), ref.view(np.uint64))
         assert np.array_equal(weights, pair_weight(ref))
+
+
+def fresh_table(zero_source, t):
+    """A table of its own, so no other test has gathered its pairs."""
+    return ZeroTable(zero_source.table(t).ordinates, t)
+
+
+class TestPairSet:
+    """One pair set per (table, T), kept read-only on the table."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (table, t) of every pair-set build from here on."""
+        seen = []
+        gather = pair_correlation._gather_pairs
+
+        def counting(zeros, t):
+            seen.append((zeros, t))
+            return gather(zeros, t)
+
+        monkeypatch.setattr(pair_correlation, "_gather_pairs", counting)
+        return seen
+
+    def test_one_build_across_every_pair_route(self, zero_source, builds):
+        t = 1500.0
+        tab = fresh_table(zero_source, t)
+        f_grid(tab, t, 1.0, 0.1)
+        pair_sum(tab, t, np.cos)
+        f_alpha(tab, t, 0.5)
+        for k in (0, 1, 2):
+            moments.i_k_from_zeros(k, 2.0, t, tab)
+        assert builds == [(tab, t)]
+
+    def test_other_tables_and_heights_build_their_own(self, zero_source, builds):
+        tab = fresh_table(zero_source, 200.0)
+        twin = ZeroTable(tab.ordinates, tab.t_max)
+        part = tab.up_to(150.0)
+        for zeros, t in ((tab, 200.0), (twin, 200.0), (part, 150.0), (tab, 150.0)):
+            pair_sum(zeros, t, np.cos)
+        assert builds == [(tab, 200.0), (twin, 200.0), (part, 150.0), (tab, 150.0)]
+        # the table keeps the last height only
+        assert list(tab._pair_set) == [150.0]
+        pair_sum(tab, 200.0, np.cos)
+        assert len(builds) == 5
+
+    def test_the_set_dies_with_its_table(self, zero_source):
+        table = fresh_table(zero_source, 200.0)
+        ref = weakref.ref(_pair_data(table, 200.0)[1])
+        assert ref() is not None
+        del table
+        gc.collect()
+        assert ref() is None
+
+    def test_cached_arrays_and_ordinates_are_read_only(self, zero_source):
+        source = np.array(zero_source.table(200.0).ordinates)
+        tab = ZeroTable(source, 200.0)
+        source[0] = 1.0   # the table holds its own copy
+        assert tab.ordinates[0] != 1.0
+        _, diffs, weights = _pair_data(tab, 200.0)
+        for arr in (tab.ordinates, diffs, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_checks_run_on_a_warm_table(self, zero_source):
+        tab = fresh_table(zero_source, 200.0)
+        pair_sum(tab, 200.0, np.cos)
+        with pytest.raises(CoverageError):
+            pair_sum(tab, math.nan, np.cos)
+        with pytest.raises(CoverageError):
+            pair_sum(tab, 201.0, np.cos)
+        with pytest.raises(DomainError):
+            f_alpha(tab, math.nan, 0.5)
+        with pytest.raises(DomainError):
+            f_grid(tab, math.inf, 1.0, 0.1)
+        assert list(tab._pair_set) == [200.0]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_blocked_sum_matches_one_dot_at_1500(self, zero_source, k):
+        """Blocks of PAIR_BLOCK pairs against one np.dot over every pair, f_2k."""
+        t = 1500.0
+        tab = zero_source.table(t)
+        n, diffs, weights = _pair_data(tab, t)
+        assert diffs.size > 2 * PAIR_BLOCK
+        log_t = math.log(t)
+        for a in (0.5, 1.0, 2.0):
+            spec = KernelSpec("f", a / math.pi, 2 * k)
+            kernel = lambda d: kernel_eval(spec, d * (log_t / TWO_PI))
+            whole = n * kernel(0.0) + 2.0 * float(np.dot(weights, kernel(diffs)))
+            assert pair_sum(tab, t, kernel) == pytest.approx(whole, rel=1e-14)
 
 
 class TestWindowIntegral:
