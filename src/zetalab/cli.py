@@ -210,6 +210,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_tauberian(args) -> int:
+    pred.validate(args.k, args.b, "b")  # refuse a bad k or b before the zero table
     rep = pred.tauberian_compare(_grid(args, _table(args)), args.k, args.b)
     rows = [["lhs_A", rep.lhs_a], ["rhs_A", rep.rhs_a], ["lhs_over_rhs", rep.ratio],
             *([f"window_avg_{c:g}_{d:g}", avg] for c, d, avg in rep.window_averages),

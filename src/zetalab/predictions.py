@@ -33,15 +33,16 @@ from .pair_correlation import FGrid, f_window_integral
 _K_LIMIT = 8
 
 
-def validate(k: int, a: float) -> None:
-    """Refuse a negative k, a k above the factorial limit, or a nonpositive a."""
+def validate(k: int, a: float, name: str = "a") -> None:
+    """Refuse a negative k, a k above the factorial limit, or an ``a`` that is
+    not positive and finite; ``name`` is the caller's name for ``a``."""
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k > _K_LIMIT:
         raise OrderLimitError(
             f"k={k} above {_K_LIMIT}: factorial evaluation would lose precision")
     if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError("a must be positive")
+        raise DomainError(f"{name}={a} must be positive and finite")
 
 
 def _closed_form(k: int, twoa) -> float:
@@ -177,7 +178,7 @@ def tauberian_compare(grid: FGrid, k: int, b: float) -> TauberianReport:
     rhs_A = int_0^inf (u+1)^2k e^(-bu) du  (exact via binomial expansion),
     window_averages = mean of F(u+1) over u in (0,1), (1,2), (0,2).
     """
-    validate(k, b)
+    validate(k, b, "b")
     if grid.alpha_max < 3.0:
         raise RangeError("grid must reach alpha >= 3 for the shifted windows")
     # a node step * m that rounds just below 1 still samples alpha = 1

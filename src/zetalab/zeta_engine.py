@@ -499,15 +499,28 @@ def riemann_siegel_theta_array(ts: np.ndarray) -> np.ndarray:
     out = np.empty(t.shape)
     high = t >= _THETA_CUT
     th = t[high]
-    out[high] = (0.5 * th * (np.log(th / TWO_PI) - 1.0) - math.pi / 8
-                 + horner(_THETA_C, 1.0 / (th * th)) / th)
+    # in place, in two buffers, bit for bit equal to
+    # 0.5 th (log(th/2pi) - 1) - pi/8 + horner(C, 1/th^2)/th: halving is
+    # exact, so the product may take it last
+    buf = th * th
+    np.reciprocal(buf, out=buf)
+    series = horner(_THETA_C, buf)
+    series /= th
+    np.divide(th, TWO_PI, out=buf)
+    np.log(buf, out=buf)
+    buf -= 1.0
+    buf *= th
+    buf *= 0.5
+    buf -= math.pi / 8
+    buf += series
+    out[high] = buf
     if th.size < t.size:
         tl = t[~high]
         w = 0.25 + _THETA_SHIFT + 0.5j * tl
         val = np.imag((w - 0.5) * np.log(w) - w + horner(_STIRLING_C, 1.0 / (w * w)) / w)
         val -= np.sum(np.arctan2(0.5 * tl[:, None], 0.25 + np.arange(_THETA_SHIFT)), axis=1)
         out[~high] = val - 0.5 * tl * math.log(math.pi)
-    return np.where(ts < 0, -out, out)
+    return np.negative(out, out=out, where=ts < 0)
 
 
 def riemann_siegel_theta(t: float) -> float:

@@ -258,6 +258,12 @@ class TestPredictCommand:
         assert code == 1
         assert err.startswith("error: k=9")
 
+    def test_nan_a_is_named_in_the_refusal(self, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(["predict", "--k", "1", "--a", "nan"],
+                                 tmp_path, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: a=nan must be positive and finite\n"
+
 
 class TestIdentityCommand:
     def test_rows_and_threshold(self, tmp_path, monkeypatch, capsys):
@@ -375,6 +381,15 @@ class TestTauberianCommand:
         assert {"lhs_A", "rhs_A", "lhs_over_rhs", "mass_sup"} <= set(rows)
         assert rows["rhs_A"] > 0
         assert "window_avg_0_1" in rows
+
+    @pytest.mark.parametrize("b", ["0", "-1", "nan", "inf"])
+    def test_bad_b_is_named_and_refused_before_the_scan(self, tmp_path, monkeypatch,
+                                                        capsys, b):
+        code, out, err = run_cli(["tauberian", "--tmax", "60", "--k", "1", "--b", b],
+                                 tmp_path, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: b={float(b)} must be positive and finite\n"
+        assert not (tmp_path / "cache").exists()
 
 
 class TestDiscreteCommand:

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from zetalab import moments, pair_correlation
+from zetalab.cli import cmd_dispatch
 from zetalab.errors import CoverageError, DomainError, RangeError
 from zetalab.pair_correlation import (GRID, PAIR_BLOCK, ROWS, FGrid, _pair_data,
                                       f_alpha, f_grid, f_window_integral,
@@ -17,7 +18,7 @@ from zetalab.pair_correlation import (GRID, PAIR_BLOCK, ROWS, FGrid, _pair_data,
                                       pair_count, pair_cutoff, pair_sum,
                                       pair_weight)
 from zetalab.kernels import KernelSpec, kernel_eval
-from zetalab.zero_catalog import ZeroTable
+from zetalab.zero_catalog import ZeroTable, load_or_find
 from zetalab.zeta_engine import TWO_PI
 
 EPS = np.finfo(float).eps
@@ -216,6 +217,17 @@ class TestPairSet:
         for k in (0, 1, 2):
             moments.i_k_from_zeros(k, 2.0, t, tab)
         assert builds == [(tab, t)]
+
+    def test_one_build_across_a_command_and_a_cache_read(self, tmp_path, builds):
+        """The table that ``ftable`` loaded is the one ``load_or_find`` returns
+        next, pair set and all."""
+        t = 1500.0
+        assert cmd_dispatch(["ftable", "--tmax", "1500", "--cache", str(tmp_path),
+                             "--out", str(tmp_path / "f.csv")]) == 0
+        table = load_or_find(t, cache=tmp_path)
+        for k in (0, 1, 2):
+            moments.i_k_from_zeros(k, 2.0, t, table)
+        assert builds == [(table, t)]
 
     def test_other_tables_and_heights_build_their_own(self, zero_source, builds):
         tab = fresh_table(zero_source, 200.0)

@@ -286,6 +286,14 @@ class TestZerosFile:
             import_zeros(path)
         assert err.value.line_no == 2
 
+    def test_bytes_that_are_not_text_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_bytes(b"\xff14.134725141734\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            import_zeros(path)
+        assert cmd_dispatch(["zeros", "--import", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
     def test_nonpositive_is_range_error(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("-1.5\n")
@@ -355,6 +363,51 @@ class TestCache:
         second = load_or_find(50.0, cache=tmp_path)
         assert np.allclose(first.ordinates, second.ordinates, atol=1e-9)
         assert second.t_max == 50.0
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The source label of every zeros-file parse from here on."""
+        seen = []
+        parse = zc._parse_zeros
+
+        def counting(path, data, source):
+            seen.append(source)
+            return parse(path, data, source)
+
+        monkeypatch.setattr(zc, "_parse_zeros", counting)
+        return seen
+
+    def test_unchanged_file_is_parsed_once(self, tmp_path, parses):
+        """A second read of the same bytes returns the verified table itself."""
+        first = load_or_find(100.0, cache=tmp_path)
+        second = load_or_find(100.0, cache=tmp_path)
+        assert second is first
+        assert parses == ["computed"]
+
+    def test_same_bytes_under_another_t_max_are_refused(self, tmp_path):
+        table = load_or_find(100.0, cache=tmp_path)
+        data = (tmp_path / "zeros-tmax-100.0.txt").read_bytes()
+        (tmp_path / "zeros-tmax-90.0.txt").write_bytes(data)
+        with pytest.raises(ParseError, match="does not cover t_max=90.0"):
+            load_or_find(90.0, cache=tmp_path)
+        assert load_or_find(100.0, cache=tmp_path) is table
+
+    def test_restored_file_loads_after_a_failed_check(self, tmp_path, parses):
+        """A failed read stores nothing; the restored bytes load, from the
+        memo while it still holds them and through every check once it does not."""
+        table = load_or_find(100.0, cache=tmp_path)
+        path = tmp_path / "zeros-tmax-100.0.txt"
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\n14.", b"\n15.", 1))
+        with pytest.raises(ParseError, match="sha256"):
+            load_or_find(100.0, cache=tmp_path)
+        path.write_bytes(data)
+        assert load_or_find(100.0, cache=tmp_path) is table
+        load_or_find(50.0, cache=tmp_path)    # another table takes the memo
+        again = load_or_find(100.0, cache=tmp_path)
+        assert again is not table
+        np.testing.assert_array_equal(again.ordinates, table.ordinates)
+        assert len(parses) == 4
 
     def test_t_max_beyond_six_decimals_round_trips(self, tmp_path):
         t_max = 50.1234567891234

@@ -1,7 +1,9 @@
 """Engine tests: values against independent oracles, invariants, error paths."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +274,10 @@ class TestLogDerivative:
             engine._log_deriv_recursion(z, 0, np.zeros(z.shape))
 
 
+#: written by tests/data/make_mp_reference.py
+MP_REFERENCE = Path(__file__).with_name("data") / "mp_reference.json"
+
+
 @pytest.fixture(scope="module")
 def mp_reference():
     """mpmath zeta^(j), j <= 9, and (zeta'/zeta)^(k), k <= 8, at seeded points.
@@ -280,13 +286,12 @@ def mp_reference():
     sit closest to the single-point bounds: (0.52, 5990), where k = 4 was
     refused before the single points got their own profile, and
     (0.55, 5000), where the STRICT truncation bound of zeta^(4) is 2.9e-7.
+    Read from ``MP_REFERENCE``; ``test_reference_file_matches_live_mpmath``
+    recomputes two of the points.
     """
-    pytest.importorskip("mpmath")
-    rng = np.random.default_rng(2026)
-    points = list(zip(rng.uniform(0.505, 2.0, 24), rng.uniform(10.0, 6000.0, 24)))
-    points += [(0.52, 5990.0), (0.55, 5000.0)]
-    return [(sigma, t, *oracles.mp_zeta_and_log_derivs(complex(sigma, t), 9))
-            for sigma, t in points]
+    doc = json.loads(MP_REFERENCE.read_text())
+    return [(p["sigma"], p["t"], [complex(*v) for v in p["zeta"]],
+             [complex(*v) for v in p["log_derivs"]]) for p in doc["points"]]
 
 
 def _single_point_pairs(engine, reference):
@@ -300,6 +305,17 @@ def _single_point_pairs(engine, reference):
 
 
 class TestSinglePoint:
+    def test_reference_file_matches_live_mpmath(self, mp_reference):
+        """The two lowest points, recomputed, so a stale reference file fails."""
+        pytest.importorskip("mpmath")
+        assert len(mp_reference) == 26
+        assert [p[:2] for p in mp_reference[-2:]] == [(0.52, 5990.0), (0.55, 5000.0)]
+        for sigma, t, zetas, logs in sorted(mp_reference, key=lambda p: p[1])[:2]:
+            for stored, live in zip((zetas, logs),
+                                    oracles.mp_zeta_and_log_derivs(complex(sigma, t), 9)):
+                assert len(stored) == len(live)
+                assert np.allclose(stored, live, rtol=1e-14, atol=0)
+
     def test_errors_bound_the_mpmath_gap(self, engine, mp_reference):
         pairs = _single_point_pairs(engine, mp_reference)
         worst = max(abs(got.value - ref) / got.abs_error for got, ref in pairs)
@@ -462,6 +478,15 @@ class TestTheta:
         got = zeta_engine.riemann_siegel_theta_array(ts)
         assert np.any(ts < cut) and np.any(ts >= cut)
         assert np.all(np.abs(got - ref) <= 32 * EPS * np.maximum(1.0, np.abs(ref)))
+
+    def test_in_place_series_equals_the_formula_bit_for_bit(self):
+        """Above the cut, on the zero scan's heights to T = 6000, the series
+        as one expression with its temporaries gives the same floats."""
+        ts = 2.0 + 0.05 * np.arange(120_000)
+        th = ts[ts >= zeta_engine._THETA_CUT]
+        formula = (0.5 * th * (np.log(th / zeta_engine.TWO_PI) - 1.0) - math.pi / 8
+                   + zeta_engine.horner(zeta_engine._THETA_C, 1.0 / (th * th)) / th)
+        assert np.array_equal(zeta_engine.riemann_siegel_theta_array(th), formula)
 
     def test_odd(self):
         ts = np.concatenate([np.geomspace(1e-8, 1e5, 500), np.linspace(0.0, 40.0, 401)])
