@@ -32,7 +32,7 @@ def points() -> list[tuple[float, float]]:
     return [(float(s), float(t)) for s, t in seeded] + [(0.52, 5990.0), (0.55, 5000.0)]
 
 
-def pairs(values: list[complex]) -> list[list[float]]:
+def re_im(values: list[complex]) -> list[list[float]]:
     return [[v.real, v.imag] for v in values]
 
 
@@ -40,7 +40,7 @@ def main() -> None:
     rows = []
     for sigma, t in points():
         zetas, logs = oracles.mp_zeta_and_log_derivs(complex(sigma, t), JMAX, DPS)
-        rows.append({"sigma": sigma, "t": t, "zeta": pairs(zetas), "log_derivs": pairs(logs)})
+        rows.append({"sigma": sigma, "t": t, "zeta": re_im(zetas), "log_derivs": re_im(logs)})
     body = ",\n".join(json.dumps(row) for row in rows)   # one point per line
     (HERE / "mp_reference.json").write_text(
         f'{{"jmax": {JMAX}, "dps": {DPS}, "points": [\n{body}\n]}}\n')
