@@ -265,13 +265,11 @@ def _sweeps(t: float, d: float, plan: SweepPlan) -> list[tuple[float, float, flo
     the interior sweep integrates f times 1 - phi_left - phi_right.  The
     windows are analytic, so no sweep has a junction error, and each end of
     [1, T] is summed at its own step.  An end has its own sweep exactly when
-    its density exceeds the interior's.
+    its density exceeds the interior's; with neither, that window is all ones.
     """
     reach = 2.0 * _WINDOW_HALF * d
     left = plan.left > plan.interior and (lambda x: _half_erfc((x - 1.0) / d - _WINDOW_HALF))
     right = plan.right > plan.interior and (lambda x: _half_erfc((t - x) / d - _WINDOW_HALF))
-    if not (left or right):
-        return [(1.0, t, plan.interior, None)]
 
     def interior_window(x):
         # one-sided tests, so a last node that rounds past T is still in the window
@@ -337,10 +335,9 @@ def _quadrature_parts(ks: list[int], a: float, t: float, plan: SweepPlan,
             i1 = min(i0 + ZetaEngine.CHUNK, n + 1)
             w = _gregory_weights(i0, i1, n)
             w_half = _gregory_weights(i0 // 2, (i1 + 1) // 2, half_n)
-            if window is not None:
-                psi = window(lo + h * np.arange(i0, i1))
-                w *= psi
-                w_half *= psi[::2]
+            psi = window(lo + h * np.arange(i0, i1))
+            w *= psi
+            w_half *= psi[::2]
             vals, errs = engine.log_deriv_uniform(sigma, lo + i0 * h, h, i1 - i0, max(ks))
             f, e = np.abs(vals[:, ks]), errs[:, ks]
             fine.append(w @ f ** 2)

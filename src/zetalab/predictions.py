@@ -19,6 +19,7 @@ OrderLimitError, rather than lose precision.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +62,16 @@ def _closed_form(k: int, twoa) -> float:
     return head - tail
 
 
+@contextlib.contextmanager
+def _float_range(name: str, value: float):
+    """An overflow or a division by zero in the block: RangeError naming ``name``."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RangeError(f"{name}={value} is out of range: "
+                         "its powers leave the float range") from exc
+
+
 def _positive(value: float, k: int, a: float) -> float:
     """``value``, or DomainError when the closed form is not positive (a fault)."""
     if not value > 0.0:
@@ -71,13 +82,15 @@ def _positive(value: float, k: int, a: float) -> float:
 def coefficient_c(k: int, a: float) -> float:
     """Predicted coefficient of T (log T)^(2k+2) in the continuous moment."""
     validate(k, a)
-    return _positive(_closed_form(k, 2.0 * a), k, a)
+    with _float_range("a", a):
+        return _positive(_closed_form(k, 2.0 * a), k, a)
 
 
 def coefficient_d(k: int, a: float) -> float:
     """Predicted coefficient for the discrete moment: c_k(a/2) / (2 pi)."""
     validate(k, a)
-    return _positive(_closed_form(k, a) / (2.0 * math.pi), k, a)
+    with _float_range("a", a):
+        return _positive(_closed_form(k, a) / (2.0 * math.pi), k, a)
 
 
 #: nodes of each Gauss rule behind the identity residual
@@ -179,6 +192,11 @@ def tauberian_compare(grid: FGrid, k: int, b: float) -> TauberianReport:
     window_averages = mean of F(u+1) over u in (0,1), (1,2), (0,2).
     """
     validate(k, b, "b")
+    with _float_range("b", b):
+        rhs = sum(math.comb(2 * k, j) * math.factorial(j) / b ** (j + 1)
+                  for j in range(2 * k + 1))
+        if math.isinf(rhs):
+            raise OverflowError
     if grid.alpha_max < 3.0:
         raise RangeError("grid must reach alpha >= 3 for the shifted windows")
     # a node step * m that rounds just below 1 still samples alpha = 1
@@ -189,10 +207,8 @@ def tauberian_compare(grid: FGrid, k: int, b: float) -> TauberianReport:
         raise RangeError("grid must sample alpha = 1 for the shifted integral")
     weight = (xs + 1.0) ** (2 * k) * np.exp(-b * xs)
     lhs = float(np.trapezoid(weight * ys, xs))
-    rhs = sum(math.comb(2 * k, j) * math.factorial(j) / b ** (j + 1)
-              for j in range(2 * k + 1))
     windows = []
     for c, d in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.0)):
         avg = f_window_integral(grid, 1.0 + c, d - c) / (d - c)
         windows.append((c, d, avg))
-    return TauberianReport(lhs, float(rhs), tuple(windows), window_mass_sup(grid))
+    return TauberianReport(lhs, rhs, tuple(windows), window_mass_sup(grid))

@@ -13,12 +13,9 @@ A written zeros file carries the sha256 digest of its ordinate lines and
 its source.  Every cache read checks the digest after the census, then
 refuses a file that does not state ``source=computed``.
 
-Each process keeps one verified table, memoized on the cache file's exact
-bytes together with its path and t_max: a read of the same bytes returns
-the same ``ZeroTable`` object, so every command and library call in one
-process shares one parse and one pair set.  The memo holds one entry (the
-file's bytes, the table and its pair set) until another table passes its
-checks; see ``load_or_find``.
+Each process keeps its last verified table, keyed on the cache file's
+exact bytes, path and t_max, so the calls in one process share one parse
+and one pair set (``load_or_find``).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from .errors import (CoverageError, DomainError, IoError, MissedZeroError,
                      OrderError, ParseError, RangeError)
-from .zeta_engine import TWO_PI, ZetaEngine, horner, riemann_siegel_theta_array
+from .zeta_engine import TWO_PI, ZetaEngine, horner
 
 SCAN_START = 2.0
 SCAN_STEP = 0.05
@@ -128,9 +125,10 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float) -> tuple[np.ndarray, np
     ``engine.CHUNK`` points; returns the low end of every sign-change bracket
     and the sign of Z there."""
     size = int(math.ceil((t_max - SCAN_START) / SCAN_STEP)) + 2
-    # pieces, not one call over the whole scan: at t_max = 1000 one call was
-    # 3-5% slower in every alternated run on a 2-core AMD EPYC, because its
-    # theta and rotation arrays outgrow the cache
+    # pieces, not one call over the whole scan: one call raised the zeros
+    # workload's peak_rss_mb from 40.2-40.3 to 41.4-41.6 MB in 4 of 4 pairs
+    # of alternated runs and its median wall_s from 19.9 to 20.9 ms (2-core
+    # Intel Xeon), since its theta and rotation arrays span the whole scan
     parts = [engine.hardy_z_uniform(SCAN_START + SCAN_STEP * i0, SCAN_STEP,
                                     min(engine.CHUNK, size - i0))
              for i0 in range(0, size, engine.CHUNK)]
@@ -139,32 +137,19 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float) -> tuple[np.ndarray, np
     return SCAN_START + SCAN_STEP * flips, sign[flips]
 
 
-def _jet_coefficients(engine: ZetaEngine, centres: np.ndarray) -> np.ndarray:
-    """Taylor coefficients in x - c of R(x) = Re e^{i theta(c)} zeta(1/2 + ix).
-
-    Row m holds Re e^{i theta(c_m)} zeta^(j)(1/2 + i c_m) i^j / j!, j <= JET,
-    from one arbitrary-point engine call.  R(x) = Z(x) cos(theta(x) -
-    theta(c)), and |theta(x) - theta(c)| < pi/2 over half a bracket, so R
-    has the sign and the roots of Z there.
-    """
-    derivs, _ = engine.zeta_derivs_points(0.5, centres, JET)
-    scale = np.array([1j ** j / math.factorial(j) for j in range(JET + 1)])
-    rotation = np.exp(1j * riemann_siegel_theta_array(centres))
-    return np.real(derivs * scale * rotation[:, None])
-
-
 def _refine_brackets(engine: ZetaEngine, lo: np.ndarray,
                      sign_lo: np.ndarray) -> np.ndarray:
     """Bisect every bracket [lo, lo + SCAN_STEP] to at most ROOT_TOL wide.
 
     Z takes its sign from R, the real jet at the bracket centre
-    (``_jet_coefficients``, one engine call for all brackets).  Each of
+    (``ZetaEngine.hardy_z_jets``, one engine call for all brackets):
+    |theta(x) - theta(c)| < pi/2 over half a bracket.  Each of
     ceil(log2(SCAN_STEP / ROOT_TOL)) rounds halves every bracket by one
     Horner pass.  Returns the midpoints of the final brackets.
     """
     half = 0.5 * SCAN_STEP
     centres = lo + half
-    coeffs = _jet_coefficients(engine, centres)
+    coeffs = engine.hardy_z_jets(centres, JET)
     h_lo, width = np.full(lo.size, -half), SCAN_STEP   # low ends, as offsets from c
     for _ in range(math.ceil(math.log2(SCAN_STEP / ROOT_TOL))):
         width *= 0.5

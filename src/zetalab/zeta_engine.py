@@ -23,7 +23,7 @@ Every block's main sum is one complex product outer @ kernel: the rows of
 (-ln n)^j, for a uniform sweep times the phases n^{-i r step} of the
 ``GRID`` points of a row (Odlyzko & Schoenhage, Trans. AMS 309, 1988).
 Uniform sweeps go in ``ZetaEngine.CHUNK`` blocks in input order.  Arbitrary
-heights (``zeta_derivs_points``, ``log_deriv_line``, ``hardy_z_points``)
+heights (``zeta_derivs_points``, ``log_deriv_line``, ``hardy_z_jets``)
 are sorted by |Im s| and go in bands of ``ZetaEngine.BAND`` points, one
 per row, so a band of low points does not pay the main-sum length of the
 highest one.  Bulk errors are per point, as
@@ -392,12 +392,10 @@ class ZetaEngine:
 
         All entries are the derivative columns of one Euler-Maclaurin block
         summed with the fixed profile ``SINGLE``, whatever the engine's own
-        profile.  Entry j's ``abs_error`` is the truncation bound
-        tail * max(1, ln N)^j plus the float64 rounding estimate
-        eps (1 + |t| ln N) ||n^{-sigma} (ln n)^j||_2.  PrecisionError is
-        raised when the truncation bound of the top order exceeds 1e-8; the
-        rounding part is reported but not gated, since no Euler-Maclaurin
-        setting removes it.  Points within 2e-3 of the pole are refused.
+        profile.  Entry j's ``abs_error`` is the block's truncation bound
+        plus its rounding estimate (``_em_block``).  PrecisionError is raised
+        when the truncation bound of the top order exceeds 1e-8 (see
+        ``_single_point``).  Points within 2e-3 of the pole are refused.
         """
         if not isinstance(p, EvalPoint):
             p = EvalPoint(*p)
@@ -437,10 +435,17 @@ class ZetaEngine:
         z = self.zeta(complex(0.5, t)).value
         return float(np.real(np.exp(1j * riemann_siegel_theta(t)) * z))
 
-    def hardy_z_points(self, ts: np.ndarray) -> np.ndarray:
+    def hardy_z_jets(self, ts: np.ndarray, jmax: int) -> np.ndarray:
+        """Re e^{i theta(t_m)} zeta^(j)(1/2 + i t_m) i^j / j! in row m, column j <= jmax:
+        the Taylor coefficients in x - t_m of Z(x) cos(theta(x) - theta(t_m)), so
+        column 0 is Z(t_m); one arbitrary-point call for all rows."""
         ts = np.asarray(ts, dtype=float)
-        vals, _ = self.zeta_derivs_points(0.5, ts, 0)
-        return np.real(np.exp(1j * riemann_siegel_theta_array(ts)) * vals[:, 0])
+        vals, _ = self.zeta_derivs_points(0.5, ts, jmax)
+        scale = np.array([1j ** j / math.factorial(j) for j in range(jmax + 1)])
+        return np.real(vals * scale * np.exp(1j * riemann_siegel_theta_array(ts))[:, None])
+
+    def hardy_z_points(self, ts: np.ndarray) -> np.ndarray:
+        return self.hardy_z_jets(ts, 0)[:, 0]
 
     def hardy_z_uniform(self, t0: float, step: float, count: int) -> np.ndarray:
         vals, _ = self.zeta_derivs_uniform(0.5, t0, step, count, 0)
@@ -499,28 +504,15 @@ def riemann_siegel_theta_array(ts: np.ndarray) -> np.ndarray:
     out = np.empty(t.shape)
     high = t >= _THETA_CUT
     th = t[high]
-    # in place, in two buffers, bit for bit equal to
-    # 0.5 th (log(th/2pi) - 1) - pi/8 + horner(C, 1/th^2)/th: halving is
-    # exact, so the product may take it last
-    buf = th * th
-    np.reciprocal(buf, out=buf)
-    series = horner(_THETA_C, buf)
-    series /= th
-    np.divide(th, TWO_PI, out=buf)
-    np.log(buf, out=buf)
-    buf -= 1.0
-    buf *= th
-    buf *= 0.5
-    buf -= math.pi / 8
-    buf += series
-    out[high] = buf
+    out[high] = (0.5 * th * (np.log(th / TWO_PI) - 1.0) - math.pi / 8
+                 + horner(_THETA_C, 1.0 / (th * th)) / th)
     if th.size < t.size:
         tl = t[~high]
         w = 0.25 + _THETA_SHIFT + 0.5j * tl
         val = np.imag((w - 0.5) * np.log(w) - w + horner(_STIRLING_C, 1.0 / (w * w)) / w)
         val -= np.sum(np.arctan2(0.5 * tl[:, None], 0.25 + np.arange(_THETA_SHIFT)), axis=1)
         out[~high] = val - 0.5 * tl * math.log(math.pi)
-    return np.negative(out, out=out, where=ts < 0)
+    return np.where(ts < 0, -out, out)
 
 
 def riemann_siegel_theta(t: float) -> float:

@@ -265,6 +265,25 @@ class TestPredictCommand:
         assert err == "error: a=nan must be positive and finite\n"
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    (["predict", "--k", "1", "--a", "1e-100"], "a", 1e-100),
+    (["predict", "--k", "1", "--a", "1e200"], "a", 1e200),
+    (["tauberian", "--tmax", "100", "--k", "1", "--b", "1e-200"], "b", 1e-200),
+    (["tauberian", "--tmax", "100", "--k", "1", "--b", "1e300"], "b", 1e300),
+])
+def test_powers_past_the_float_range_exit_1_without_a_traceback(tmp_path, argv, name, value):
+    """An a or b whose powers overflow or underflow is named on one error line."""
+    src = Path(zetalab.__file__).parents[1]
+    cache = tmp_path / "cache"
+    proc = subprocess.run([sys.executable, "-m", "zetalab.cli", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "ZETALAB_CACHE": str(cache)})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: {name}={value} is out of range: "
+                           "its powers leave the float range\n")
+
+
 class TestIdentityCommand:
     def test_rows_and_threshold(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(["identity", "--kmax", "2"],

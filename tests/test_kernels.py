@@ -121,6 +121,24 @@ class TestLargeArguments:
             g, w = getattr(got, part), getattr(want, part)
             assert np.all(np.abs(g - w) <= 2.0 * np.spacing(np.abs(w)))
 
+    def test_scalar_gets_the_bits_of_the_same_x_in_an_array(self):
+        """A scalar x gives bit for bit the value that x gives inside an array.
+
+        numpy's complex reciprocal takes another path on a 0-d array than
+        on a 1-d one, so a w from np.reciprocal(1 + iy) fails this; the
+        real-arithmetic w of _inv_power does not."""
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([[0.0, 1.0, -1.0, 1e150, -1e150],
+                             rng.normal(0.0, 2.0, 200), np.geomspace(1e-6, 1e6, 100),
+                             -np.geomspace(1e-6, 1e6, 100)])
+        for family in ("h", "l", "f"):
+            for order in range(9):
+                for b in (0.032, 0.5, 1.59):
+                    spec = KernelSpec(family, b, order)
+                    scalars = np.array([kernel_eval(spec, float(x)) for x in xs])
+                    assert np.array_equal(scalars.view(np.int64),
+                                          kernel_eval(spec, xs).view(np.int64))
+
     def test_w_raises_no_warning_up_to_the_float_range(self):
         """y*y overflows past 1e154; the form in 1/y never squares |y| > 1."""
         y = np.array([1e154, -1e160, 1e200, 1e308, -1.7e308])

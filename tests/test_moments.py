@@ -74,11 +74,11 @@ class TestQuadrature:
                   for i0 in range(0, n + 1, 8)]
         assert np.array_equal(np.concatenate(blocks), whole)
 
-    def test_rule_on_pole_near_the_axis(self):
-        """A Lorentzian with its pole at distance d from the axis, on [1, 8],
+    @staticmethod
+    def lorentzian_rule(t, d=0.3, c=3.0):
+        """A Lorentzian with its pole at distance d from the axis, on [1, T],
         through the sweeps that sweep_plan sets for k = 0, sampled as they
-        sample their integrand."""
-        d, c, t = 0.3, 3.0, 8.0
+        sample their integrand: (the rule's value, quad's, the sweep count)."""
         f = lambda u: 1.0 / ((u - c) ** 2 + d * d)
 
         class Lorentzian:
@@ -89,7 +89,19 @@ class TestQuadrature:
         a = d * math.log(t)
         [rule] = mo.i_k_quadrature_batch([0], a, t, Lorentzian())
         ref, _ = quad(f, 1.0, t, points=[c], epsabs=0.0, epsrel=1e-13, limit=200)
-        assert rule.value == pytest.approx(ref, rel=1e-10)
+        return rule.value, ref, len(mo._sweeps(t, d, mo.sweep_plan([0], a, t)))
+
+    def test_rule_on_pole_near_the_axis(self):
+        """On [1, 8], long enough for an end its own sweep."""
+        value, ref, _ = self.lorentzian_rule(8.0)
+        assert value == pytest.approx(ref, rel=1e-10)
+
+    def test_one_sweep_plan(self):
+        """At T = 5, [1, T] is shorter than 4 _WINDOW_HALF d, so one sweep at
+        the largest density covers it, its window all ones."""
+        value, ref, sweeps = self.lorentzian_rule(5.0)
+        assert sweeps == 1
+        assert value == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("t", [51.5, 200.0, 500.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

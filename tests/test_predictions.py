@@ -1,6 +1,7 @@
 """Prediction tests: coefficient closed forms, identity residual, comparator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestCoefficientC:
             coefficient_c(1, 0.0)
         with pytest.raises(DomainError):
             coefficient_c(-1, 1.0)
+
+    @pytest.mark.parametrize("a", [1e-100, 1e200])
+    def test_powers_past_the_float_range_are_named(self, a):
+        """(2a)^(2k+2) underflows to 0 or overflows; both coefficients refuse a."""
+        for coefficient in (coefficient_c, coefficient_d):
+            with pytest.raises(RangeError, match=re.escape(f"a={a} is out of range")):
+                coefficient(1, a)
 
     def test_plain_floats_with_a_fault_guard(self, monkeypatch):
         """Both coefficients are floats; a non-positive closed form is a fault."""
@@ -145,6 +153,13 @@ class TestTauberian:
                 ref = sum(math.comb(2 * k, j) * math.factorial(j) / b ** (j + 1)
                           for j in range(2 * k + 1))
                 assert rep.rhs_a == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1e-200, 1e-103, 1e300])
+    def test_rhs_past_the_float_range_is_named(self, b):
+        """A power of b overflows, underflows to 0, or makes rhs_A infinite."""
+        grid = synthetic_grid(5000.0, lambda al: np.ones_like(al))
+        with pytest.raises(RangeError, match=re.escape(f"b={b} is out of range")):
+            tauberian_compare(grid, 1, b)
 
     def test_real_grid_report(self, zero_source):
         from zetalab.pair_correlation import f_grid

@@ -141,7 +141,7 @@ class TestRefinement:
         pick = rng.choice(lo.size, size=min(lo.size, 200), replace=False)
         centres = lo[pick] + 0.5 * zc.SCAN_STEP
         x = lo[pick] + zc.SCAN_STEP * rng.random(pick.size)
-        got = zc.horner(zc._jet_coefficients(engine, centres).T, x - centres)
+        got = zc.horner(engine.hardy_z_jets(centres, zc.JET).T, x - centres)
         ref = engine.hardy_z_points(x) * np.cos(
             riemann_siegel_theta_array(x) - riemann_siegel_theta_array(centres))
 

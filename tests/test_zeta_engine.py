@@ -479,9 +479,9 @@ class TestTheta:
         assert np.any(ts < cut) and np.any(ts >= cut)
         assert np.all(np.abs(got - ref) <= 32 * EPS * np.maximum(1.0, np.abs(ref)))
 
-    def test_in_place_series_equals_the_formula_bit_for_bit(self):
-        """Above the cut, on the zero scan's heights to T = 6000, the series
-        as one expression with its temporaries gives the same floats."""
+    def test_series_equals_the_formula_bit_for_bit(self):
+        """Above the cut, on the zero scan's heights to T = 6000, theta is
+        the Riemann-Siegel series written as this one expression."""
         ts = 2.0 + 0.05 * np.arange(120_000)
         th = ts[ts >= zeta_engine._THETA_CUT]
         formula = (0.5 * th * (np.log(th / zeta_engine.TWO_PI) - 1.0) - math.pi / 8
