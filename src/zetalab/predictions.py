@@ -49,17 +49,31 @@ def validate(k: int, a: float, name: str = "a") -> None:
 def _closed_form(k: int, twoa) -> float:
     """(2k+1)!/x^(2k+2) - sum_m m (2k)!/(2k+1-m)! e^(-x)/x^(m+1) at x=2a.
 
-    Factorial coefficients are exact integers; passing a longdouble for
-    ``twoa`` evaluates the whole expression in extended precision.
+    Below x = 0.2, where those terms cancel, the identity's two integrals as
+    positive series: e^(-x) sum_{m>=0} n! x^m/(n+1+m)! with n = 2k+1, and
+    e^(-x) sum_{j<n} (2k)!/j! x^(j-n).  Factorial coefficients are exact
+    integers; passing a longdouble for ``twoa`` evaluates the whole
+    expression in extended precision.  A non-finite value raises OverflowError.
     """
     one = twoa / twoa
-    head = math.factorial(2 * k + 1) * one / twoa ** (2 * k + 2)
     decay = np.exp(-twoa) if isinstance(twoa, np.longdouble) else math.exp(-twoa)
-    tail = 0.0 * one
-    for m in range(1, 2 * k + 2):
-        coeff = m * math.factorial(2 * k) // math.factorial(2 * k + 1 - m)
-        tail = tail + coeff * decay / twoa ** (m + 1)
-    return head - tail
+    n = 2 * k + 1
+    if twoa < 0.2:
+        head, term, m = 0.0 * one, one / (n + 1), 0
+        while head + term != head:
+            head, term, m = head + term, term * twoa / (n + 2 + m), m + 1
+        tail = sum(math.factorial(n - 1) // math.factorial(j) * twoa ** (j - n)
+                   for j in reversed(range(n)))
+        value = decay * (head + tail)
+    else:
+        tail = 0.0 * one
+        for m in range(1, n + 1):
+            coeff = m * math.factorial(n - 1) // math.factorial(n - m)
+            tail = tail + coeff * decay / twoa ** (m + 1)
+        value = math.factorial(n) * one / twoa ** (n + 1) - tail
+    if not math.isfinite(value):
+        raise OverflowError(f"c_{k} at 2a={twoa} leaves the float range")
+    return value
 
 
 @contextlib.contextmanager

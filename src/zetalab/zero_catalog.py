@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (CoverageError, DomainError, IoError, MissedZeroError,
                      OrderError, ParseError, RangeError)
-from .zeta_engine import TWO_PI, ZetaEngine, horner
+from .zeta_engine import THETA_CUT, TWO_PI, ZetaEngine, horner
 
 SCAN_START = 2.0
 SCAN_STEP = 0.05
@@ -48,14 +48,15 @@ CACHE_ENV = "ZETALAB_CACHE"
 DEFAULT_CACHE = "./zetalab-cache"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroTable:
     """Strictly increasing zero ordinates covering (0, t_max].
 
-    The ordinates are a read-only copy of the input.  ``_pair_set``, which
-    is not a field (no repr, no comparison), holds ``pair_correlation``'s
-    pair set for one height, ``{t: (n, diffs, weights)}``: every pair route
-    on the table shares one build, and the set is freed with the table.
+    The ordinates are a read-only copy of the input.  Equality and hash
+    are by identity, as the memo shares tables.  ``_pair_set``, which is
+    not a field (no repr), holds ``pair_correlation``'s pair set for one
+    height, ``{t: (n, diffs, weights)}``: every pair route on the table
+    shares one build, and the set is freed with the table.
     """
 
     ordinates: np.ndarray
@@ -121,9 +122,10 @@ def verify_counts(table: ZeroTable) -> CountReport:
 # --------------------------------------------------------------------------
 
 def _scan_sign_changes(engine: ZetaEngine, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hardy Z at SCAN_START + SCAN_STEP m, to one step past t_max, in pieces of
-    ``engine.CHUNK`` points; returns the low end of every sign-change bracket
-    and the sign of Z there."""
+    """Hardy Z at SCAN_START + SCAN_STEP m, from the first m in theta's domain
+    (t = 11.7) to one step past t_max, in pieces of ``engine.CHUNK`` points;
+    returns the low end of every sign-change bracket and the sign of Z there."""
+    first = math.ceil((THETA_CUT - SCAN_START) / SCAN_STEP)
     size = int(math.ceil((t_max - SCAN_START) / SCAN_STEP)) + 2
     # pieces, not one call over the whole scan: one call raised the zeros
     # workload's peak_rss_mb from 40.2-40.3 to 41.4-41.6 MB in 4 of 4 pairs
@@ -131,10 +133,10 @@ def _scan_sign_changes(engine: ZetaEngine, t_max: float) -> tuple[np.ndarray, np
     # Intel Xeon), since its theta and rotation arrays span the whole scan
     parts = [engine.hardy_z_uniform(SCAN_START + SCAN_STEP * i0, SCAN_STEP,
                                     min(engine.CHUNK, size - i0))
-             for i0 in range(0, size, engine.CHUNK)]
+             for i0 in range(first, size, engine.CHUNK)]
     sign = np.sign(np.concatenate(parts))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return SCAN_START + SCAN_STEP * flips, sign[flips]
+    return SCAN_START + SCAN_STEP * (first + flips), sign[flips]
 
 
 def _refine_brackets(engine: ZetaEngine, lo: np.ndarray,
@@ -166,7 +168,7 @@ def _check_t_max(t_max: float) -> None:
 def find_zeros(t_max: float, engine: ZetaEngine | None = None) -> ZeroTable:
     """All zero ordinates in (0, t_max], certified by the RvM census.
 
-    Scans Z once from t=2 (the first zero is near 14.13; nothing lies below)
+    Scans Z once from t = 11.7 (theta's domain; the first zero is near 14.13)
     with step 0.05, bisects each sign change on the real Taylor jet of zeta
     at its centre to a bracket of width <= 1e-9 and returns its midpoint.
     The brackets are disjoint and increasing, so the ordinates come out

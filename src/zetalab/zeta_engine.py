@@ -37,6 +37,7 @@ certified enclosures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -383,8 +384,12 @@ class ZetaEngine:
         return vals[0], trunc + rounding
 
     def zeta(self, s: complex) -> ComplexEval:
-        """zeta(s) as entry 0 of :meth:`zeta_derivatives`, for a complex s."""
-        vals, errs = self._single_point(complex(s), 0)
+        """zeta(s) as entry 0 of :meth:`zeta_derivatives`, for a finite complex
+        s with Re s >= 1/2; any other s raises DomainError."""
+        s = complex(s)
+        if not (s.real >= 0.5 and cmath.isfinite(s)):
+            raise DomainError(f"zeta requires a finite s with Re s >= 1/2, got {s}")
+        vals, errs = self._single_point(s, 0)
         return ComplexEval(complex(vals[0]), float(errs[0]))
 
     def zeta_derivatives(self, p: EvalPoint, jmax: int) -> list[ComplexEval]:
@@ -426,38 +431,39 @@ class ZetaEngine:
                     f"bound {bound:.3e}; evaluation is suspect")
         return ComplexEval(value, float(errs[k]))
 
-    # -- Hardy Z -------------------------------------------------------------
+    # -- Hardy Z: theta first, which refuses a t outside its domain ---------
 
     def hardy_z(self, t: float) -> float:
         """Z(t) = Re{ e^{i theta(t)} zeta(1/2 + it) }; real, zeros at the gammas."""
-        if t < 2.0:
-            raise DomainError("hardy_z requires t >= 2")
+        rotation = np.exp(1j * riemann_siegel_theta(t))
         z = self.zeta(complex(0.5, t)).value
-        return float(np.real(np.exp(1j * riemann_siegel_theta(t)) * z))
+        return float(np.real(rotation * z))
 
     def hardy_z_jets(self, ts: np.ndarray, jmax: int) -> np.ndarray:
         """Re e^{i theta(t_m)} zeta^(j)(1/2 + i t_m) i^j / j! in row m, column j <= jmax:
         the Taylor coefficients in x - t_m of Z(x) cos(theta(x) - theta(t_m)), so
         column 0 is Z(t_m); one arbitrary-point call for all rows."""
         ts = np.asarray(ts, dtype=float)
+        rotation = np.exp(1j * riemann_siegel_theta_array(ts))
         vals, _ = self.zeta_derivs_points(0.5, ts, jmax)
         scale = np.array([1j ** j / math.factorial(j) for j in range(jmax + 1)])
-        return np.real(vals * scale * np.exp(1j * riemann_siegel_theta_array(ts))[:, None])
+        return np.real(vals * scale * rotation[:, None])
 
     def hardy_z_points(self, ts: np.ndarray) -> np.ndarray:
         return self.hardy_z_jets(ts, 0)[:, 0]
 
     def hardy_z_uniform(self, t0: float, step: float, count: int) -> np.ndarray:
-        vals, _ = self.zeta_derivs_uniform(0.5, t0, step, count, 0)
         ts = t0 + step * np.arange(count)
-        return np.real(np.exp(1j * riemann_siegel_theta_array(ts)) * vals[:, 0])
+        rotation = np.exp(1j * riemann_siegel_theta_array(ts))
+        vals, _ = self.zeta_derivs_uniform(0.5, t0, step, count, 0)
+        return np.real(rotation * vals[:, 0])
 
 
 # --------------------------------------------------------------------------
 # Riemann-Siegel theta
 # --------------------------------------------------------------------------
 
-#: terms of the theta series above the cut, and of Stirling's series below it
+#: terms of the theta series
 THETA_TERMS = 6
 #: bound on each truncation error of theta: a quarter of the float64 eps
 _THETA_TOL = 2.0 ** -54
@@ -468,50 +474,32 @@ def _theta_coefficient(n: int) -> float:
     return (1.0 - 2.0 ** (1 - 2 * n)) * abs(_bernoulli(2 * n)) / (4 * n * (2 * n - 1))
 
 
-def _stirling_coefficient(n: int) -> float:
-    """B_2n / (2n (2n-1)) of Stirling's series for log Gamma."""
-    return _bernoulli(2 * n) / (2 * n * (2 * n - 1))
-
-
 _THETA_C = [_theta_coefficient(n) for n in range(1, THETA_TERMS + 1)]
-_STIRLING_C = [_stirling_coefficient(n) for n in range(1, THETA_TERMS + 1)]
-#: |t| from which the theta series is within _THETA_TOL: there both its first
-#: omitted term c_{M+1} t^{-(2M+1)} and the arctan(e^{-pi t})/2 that it
-#: leaves out (from the reflection and duplication formulas of Gamma) are
-#: below the tolerance
-_THETA_CUT = max((_theta_coefficient(THETA_TERMS + 1) / _THETA_TOL)
-                 ** (1.0 / (2 * THETA_TERMS + 1)),
-                 math.log(0.5 / _THETA_TOL) / math.pi)
-#: shift m of log Gamma(z + m) below the cut: with |z + m| >= m + 1/4 the
-#: first omitted Stirling term, times the 2^{M+1} that bounds
-#: sec^{2M+2}(arg/2) on Re > 0, is within _THETA_TOL
-_THETA_SHIFT = math.ceil((2.0 ** (THETA_TERMS + 1) * abs(_stirling_coefficient(THETA_TERMS + 1))
-                          / _THETA_TOL) ** (1.0 / (2 * THETA_TERMS + 1)) - 0.25)
+#: least |t| of theta's domain, where the series is within _THETA_TOL: there
+#: both its first omitted term c_{M+1} t^{-(2M+1)} and the arctan(e^{-pi t})/2
+#: that it leaves out (from the reflection and duplication formulas of Gamma)
+#: are below the tolerance
+THETA_CUT = max((_theta_coefficient(THETA_TERMS + 1) / _THETA_TOL)
+                ** (1.0 / (2 * THETA_TERMS + 1)),
+                math.log(0.5 / _THETA_TOL) / math.pi)
 
 
 def riemann_siegel_theta_array(ts: np.ndarray) -> np.ndarray:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, vectorized; odd in t.
 
-    For |t| >= ``_THETA_CUT`` the Riemann-Siegel series (Edwards, Riemann's
-    Zeta Function, 6.5) in real arithmetic,
-    theta = (t/2) (log(t/2pi) - 1) - pi/8 + sum_{n<=M} c_n t^{1-2n};
-    below it Stirling's series for Im log Gamma(z + m) less
-    sum_{j<m} arg(z + j), z = 1/4 + it/2.  Both take their coefficients
-    from the exact Bernoulli numbers, and each truncation is below 2^-54.
+    The Riemann-Siegel series (Edwards, Riemann's Zeta Function, 6.5) in
+    real arithmetic, theta = (t/2) (log(t/2pi) - 1) - pi/8
+    + sum_{n<=M} c_n t^{1-2n}, with its coefficients from the exact
+    Bernoulli numbers and its truncation below 2^-54.  Its domain is finite
+    |t| >= ``THETA_CUT`` (11.69; the first zero of Z is at 14.13), and any
+    other t raises DomainError.
     """
     ts = np.asarray(ts, dtype=float)
     t = np.abs(ts)
-    out = np.empty(t.shape)
-    high = t >= _THETA_CUT
-    th = t[high]
-    out[high] = (0.5 * th * (np.log(th / TWO_PI) - 1.0) - math.pi / 8
-                 + horner(_THETA_C, 1.0 / (th * th)) / th)
-    if th.size < t.size:
-        tl = t[~high]
-        w = 0.25 + _THETA_SHIFT + 0.5j * tl
-        val = np.imag((w - 0.5) * np.log(w) - w + horner(_STIRLING_C, 1.0 / (w * w)) / w)
-        val -= np.sum(np.arctan2(0.5 * tl[:, None], 0.25 + np.arange(_THETA_SHIFT)), axis=1)
-        out[~high] = val - 0.5 * tl * math.log(math.pi)
+    if not np.all((t >= THETA_CUT) & (t < math.inf)):
+        raise DomainError(f"theta requires finite |t| >= {THETA_CUT:.4f}")
+    out = (0.5 * t * (np.log(t / TWO_PI) - 1.0) - math.pi / 8
+           + horner(_THETA_C, 1.0 / (t * t)) / t)
     return np.where(ts < 0, -out, out)
 
 
@@ -519,9 +507,7 @@ def riemann_siegel_theta(t: float) -> float:
     """Rotation angle putting zeta on the critical line onto the real axis.
 
     :func:`riemann_siegel_theta_array` at one point: within 10 eps
-    max(1, |theta|) of mpmath's for t >= 2, far below the 1e-9 budget of
-    the zero finder.
+    max(1, |theta|) of mpmath's, far below the 1e-9 budget of the zero
+    finder.
     """
-    if t < 2.0:
-        raise DomainError("riemann_siegel_theta requires t >= 2")
     return float(riemann_siegel_theta_array(np.array([t]))[0])

@@ -49,7 +49,7 @@ def test_uniform_counters():
                   (engine, 0.7), {"t0": 10.0, "step": 0.1, "count": 51, "kmax": 1})
     assert got == {"points": 51, "terms": 51 * n_terms}
     got = _counts(ZetaEngine.hardy_z_uniform, layers._count_uniform,
-                  (engine,), {"t0": 10.0, "step": 0.1, "count": 51})
+                  (engine,), {"t0": 12.0, "step": 0.1, "count": 51})
     assert got == {"points": 51, "terms": 51 * n_terms}
 
 

@@ -266,7 +266,7 @@ class TestPredictCommand:
 
 
 @pytest.mark.parametrize("argv, name, value", [
-    (["predict", "--k", "1", "--a", "1e-100"], "a", 1e-100),
+    (["predict", "--k", "1", "--a", "1e-160"], "a", 1e-160),
     (["predict", "--k", "1", "--a", "1e200"], "a", 1e200),
     (["tauberian", "--tmax", "100", "--k", "1", "--b", "1e-200"], "b", 1e-200),
     (["tauberian", "--tmax", "100", "--k", "1", "--b", "1e300"], "b", 1e300),

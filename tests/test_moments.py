@@ -404,6 +404,9 @@ class TestDiscrete:
                                          (zero_catalog, "FALSE_POSITION_ROUNDS"),
                                          (zeta_engine, "_bessel_iv"),
                                          (zeta_engine, "FAST"),
+                                         (zeta_engine, "_stirling_coefficient"),
+                                         (zeta_engine, "_STIRLING_C"),
+                                         (zeta_engine, "_THETA_SHIFT"),
                                          (mo, "farmer_ratio"),
                                          (mo, "i_k_quadrature"),
                                          (mo, "_quadrature"),

@@ -17,6 +17,7 @@ from zetalab.predictions import (coefficient_c, coefficient_d,
                                  window_mass_sup)
 
 A_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+EPS = np.finfo(float).eps
 
 
 def synthetic_grid(t, values_fn, alpha_max=20.0, step=1e-4):
@@ -58,9 +59,26 @@ class TestCoefficientC:
         with pytest.raises(DomainError):
             coefficient_c(-1, 1.0)
 
-    @pytest.mark.parametrize("a", [1e-100, 1e200])
+    @pytest.mark.parametrize("k, a, bound", [(0, 1e-4, 2), (0, 1e-8, 2), (4, 1e-3, 4),
+                                             (0, 1e-40, 2), (1, 1e-40, 2), (1, 1e-100, 2),
+                                             (8, 0.0999, 2)])
+    def test_small_a_against_mpmath(self, k, a, bound):
+        """Below 2a = 0.2 the closed form's two terms cancel (1e-8 relative at
+        k = 0, a = 1e-8; no positive value at a = 1e-40); the sum of the two
+        positive integrals is within ``bound`` eps of 60-digit mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            x = 2 * mpmath.mpf(a)
+            ref = (mpmath.gammainc(2 * k + 2, 0, x) / x ** (2 * k + 2)
+                   + mpmath.gammainc(2 * k + 1, x) / x ** (2 * k + 1))
+            for got, want in ((coefficient_c(k, a), ref),
+                              (coefficient_d(k, 2 * a), ref / (2 * mpmath.pi))):
+                assert abs(got - want) <= bound * EPS * want
+
+    @pytest.mark.parametrize("a", [1e-160, 1e200])
     def test_powers_past_the_float_range_are_named(self, a):
-        """(2a)^(2k+2) underflows to 0 or overflows; both coefficients refuse a."""
+        """Powers of 2a leave the float range, and so does c_1; both
+        coefficients refuse a."""
         for coefficient in (coefficient_c, coefficient_d):
             with pytest.raises(RangeError, match=re.escape(f"a={a} is out of range")):
                 coefficient(1, a)

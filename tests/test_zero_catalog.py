@@ -56,7 +56,7 @@ class TestFindZeros:
     def test_exactly_two_sign_changes_below_25(self, engine):
         tab = find_zeros(25.0, engine=engine)
         assert len(tab) == 2
-        ts = np.arange(10.0, 25.0, 0.01)
+        ts = np.arange(12.0, 25.0, 0.01)
         z = engine.hardy_z_points(ts)
         flips = int(np.sum(np.sign(z[:-1]) * np.sign(z[1:]) < 0))
         assert flips == 2
@@ -232,6 +232,14 @@ class TestZeroTableType:
     def test_three_fields(self):
         from dataclasses import fields
         assert [f.name for f in fields(ZeroTable)] == ["ordinates", "t_max", "source"]
+
+    def test_equality_and_hash_by_identity(self):
+        """Comparing the ndarray field raised ValueError, hashing it TypeError."""
+        table = ZeroTable(np.array([14.1, 21.0]), 30.0)
+        twin = ZeroTable(np.array([14.1, 21.0]), 30.0)
+        assert table == table and table != twin
+        assert hash(table) == hash(table)
+        assert len({table, twin}) == 2
 
     def test_rejects_decreasing(self):
         with pytest.raises(OrderError):

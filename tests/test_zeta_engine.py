@@ -48,6 +48,15 @@ class TestZetaValues:
             down = engine.zeta(s.conjugate()).value
             assert abs(up - down.conjugate()) < 1e-10
 
+    @pytest.mark.parametrize("s", [-10.0, -20 + 5j, complex(0.5, math.nan),
+                                   complex(0.5, math.inf)],
+                             ids=["log-of-zero", "off-by-6.6e10", "nan", "overflow"])
+    def test_refuses_outside_its_half_plane(self, engine, s):
+        """Left of Re s = 1/2 the Euler-Maclaurin bound takes log 0 or lets a
+        wrong value through; a non-finite s raised ValueError or OverflowError."""
+        with pytest.raises(DomainError, match="Re s >= 1/2"):
+            engine.zeta(s)
+
 
 class TestDerivatives:
     def test_zeta_prime_at_2(self, engine):
@@ -421,7 +430,7 @@ class TestHorner:
                                    (np.arange(-12, 13) + 1j * np.arange(12, -13, -1)) / 8.0],
                              ids=["real", "complex"])
     def test_list_of_floats(self, x):
-        """The theta and Stirling series: one coefficient list for every point."""
+        """The theta series: one coefficient list for every point."""
         coeffs = [3.0, -1.0, 2.0, 5.0, -4.0, 1.0, 7.0]
         got = zeta_engine.horner(coeffs, x)
         assert got.dtype == x.dtype and got.shape == x.shape
@@ -447,7 +456,7 @@ class TestHorner:
 
 class TestTheta:
     def test_against_stirling_oracle(self):
-        for t in (2.0, 5.0, 14.1, 100.0, 1000.0):
+        for t in (14.1, 100.0, 1000.0):
             assert abs(riemann_siegel_theta(t) - oracles.stirling_theta(t)) < 1e-9
 
     def test_asymptotic_self_check(self):
@@ -457,7 +466,7 @@ class TestTheta:
         assert abs(riemann_siegel_theta(t) - asym) <= 1.0 / (48 * t) + 5e-9
 
     def test_monotone_above_10(self):
-        ts = np.linspace(10.0, 500.0, 191)
+        ts = np.linspace(zeta_engine.THETA_CUT, 500.0, 191)
         vals = [riemann_siegel_theta(t) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -465,43 +474,59 @@ class TestTheta:
         with pytest.raises(DomainError):
             riemann_siegel_theta(1.0)
 
-    def test_against_mpmath_on_both_sides_of_the_cut(self):
-        """Within 32 eps max(1, |theta|) of mpmath on [2, 6000]: every 0.01
-        up to 30, across the cut at 11.69, then 4,001 points; measured 9.8
-        below the cut and 8.9 above it."""
+    @pytest.mark.parametrize("t", [0.0, 2.0, 11.69, -11.69, math.nan, math.inf])
+    def test_every_theta_and_z_entry_point_refuses_below_the_cut(self, engine, t):
+        """Outside finite |t| >= cut; hardy_z(inf) raised OverflowError."""
+        assert not zeta_engine.THETA_CUT <= abs(t) < math.inf
+        ts = np.array([20.0, t])
+        for call in (lambda: riemann_siegel_theta(t),
+                     lambda: zeta_engine.riemann_siegel_theta_array(ts),
+                     lambda: engine.hardy_z(t),
+                     lambda: engine.hardy_z_points(ts),
+                     lambda: engine.hardy_z_jets(ts, 3),
+                     lambda: engine.hardy_z_uniform(t, 0.05, 4)):
+            with pytest.raises(DomainError, match="theta requires"):
+                call()
+
+    def test_against_mpmath_from_the_cut(self):
+        """Within 32 eps max(1, |theta|) of mpmath on [cut, 6000]: the cut at
+        11.69, every 0.01 from 11.7 to 30, then 4,001 points; measured 8.6.
+        The largest float below the cut is refused."""
         mpmath = pytest.importorskip("mpmath")
-        cut = zeta_engine._THETA_CUT
-        ts = np.concatenate([np.arange(2.0, 30.0, 0.01), np.linspace(30.0, 6000.0, 4001),
-                             [cut, np.nextafter(cut, 0.0)]])
+        cut = zeta_engine.THETA_CUT
+        ts = np.concatenate([[cut], np.arange(11.7, 30.0, 0.01),
+                             np.linspace(30.0, 6000.0, 4001)])
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.siegeltheta(t)) for t in ts])
         got = zeta_engine.riemann_siegel_theta_array(ts)
-        assert np.any(ts < cut) and np.any(ts >= cut)
         assert np.all(np.abs(got - ref) <= 32 * EPS * np.maximum(1.0, np.abs(ref)))
+        with pytest.raises(DomainError):
+            zeta_engine.riemann_siegel_theta_array(np.array([np.nextafter(cut, 0.0)]))
 
     def test_series_equals_the_formula_bit_for_bit(self):
         """Above the cut, on the zero scan's heights to T = 6000, theta is
         the Riemann-Siegel series written as this one expression."""
         ts = 2.0 + 0.05 * np.arange(120_000)
-        th = ts[ts >= zeta_engine._THETA_CUT]
+        th = ts[ts >= zeta_engine.THETA_CUT]
         formula = (0.5 * th * (np.log(th / zeta_engine.TWO_PI) - 1.0) - math.pi / 8
                    + zeta_engine.horner(zeta_engine._THETA_C, 1.0 / (th * th)) / th)
         assert np.array_equal(zeta_engine.riemann_siegel_theta_array(th), formula)
 
     def test_odd(self):
-        ts = np.concatenate([np.geomspace(1e-8, 1e5, 500), np.linspace(0.0, 40.0, 401)])
+        cut = zeta_engine.THETA_CUT
+        ts = np.concatenate([np.geomspace(cut, 1e5, 500), np.linspace(cut, 40.0, 401)])
         theta = zeta_engine.riemann_siegel_theta_array
         assert np.array_equal(theta(-ts), -theta(ts))
-        assert theta(np.array([0.0]))[0] == 0.0
 
     def test_same_values_as_scipy_wherever_hardy_z_evaluates(self):
-        """hardy_z_points and hardy_z_uniform take any real t, so theta
-        follows scipy's log-gamma over both signs from 1e-8 to 1e6 within
-        64 eps max(1, |theta|), the rounding of the two (measured 30.5, at
-        t = 19.57, where scipy is the further from mpmath)."""
+        """theta follows scipy's log-gamma over both signs for cut <= |t| <= 1e6
+        within 64 eps max(1, |theta|), the rounding of the two (measured
+        30.5, at t = 19.57, where scipy is the further from mpmath)."""
         special = pytest.importorskip("scipy.special")
-        ts = np.concatenate([np.linspace(-50.0, 50.0, 10001), np.geomspace(1e-8, 1e6, 3000),
-                             -np.geomspace(1e-8, 1e6, 300)])
+        cut = zeta_engine.THETA_CUT
+        ts = np.linspace(-50.0, 50.0, 10001)
+        ts = np.concatenate([ts[np.abs(ts) >= cut], np.geomspace(cut, 1e6, 3000),
+                             -np.geomspace(cut, 1e6, 300)])
         ref = np.imag(special.loggamma(0.25 + 0.5j * ts)) - 0.5 * ts * math.log(math.pi)
         got = zeta_engine.riemann_siegel_theta_array(ts)
         assert np.all(np.abs(got - ref) <= 64 * EPS * np.maximum(1.0, np.abs(ref)))
