@@ -127,22 +127,33 @@ def _uniform_block(sigma: float, top: float, step: float) -> np.ndarray:
     return sigma + 1j * (top - (count - 1) * step + step * np.arange(count))
 
 
+def _smooth_part_error_ratio(sigma: float, r_terms: int, n_len: int, jmax: int) -> float:
+    """Worst column of |_em_smooth_derivs - mpmath| over its tolerance."""
+    pytest.importorskip("mpmath")
+    s = sigma + 1j * np.array(SMOOTH_HEIGHTS[n_len])
+    got = _em_smooth_derivs(s, n_len, jmax, r_terms)
+    ref = np.array([oracles.em_smooth_part_derivs(z, n_len, jmax, r_terms) for z in s])
+    # N^{-s} in float64 carries the rounding of its phase t ln N, about
+    # |t| ln N eps relative, in every column alike
+    tol = 1e-12 + np.max(np.abs(s.imag)) * math.log(n_len) * np.finfo(float).eps
+    scale = np.max(np.abs(ref), axis=0)
+    return float(np.max(np.max(np.abs(got - ref), axis=0) / (tol * scale)))
+
+
 class TestKernel:
+    # r_terms 12 and 16 are the STRICT and SINGLE counts
     @pytest.mark.parametrize("n_len", sorted(SMOOTH_HEIGHTS))
-    @pytest.mark.parametrize("r_terms", [10, 12, 14])
+    @pytest.mark.parametrize("r_terms", [10, 12, 14, 16])
     @pytest.mark.parametrize("sigma", [0.52, 1.5])
     def test_smooth_part_against_mpmath(self, sigma, r_terms, n_len):
-        pytest.importorskip("mpmath")
-        jmax = 5
-        s = sigma + 1j * np.array(SMOOTH_HEIGHTS[n_len])
-        got = _em_smooth_derivs(s, n_len, jmax, r_terms)
-        ref = np.array([oracles.em_smooth_part_derivs(z, n_len, jmax, r_terms)
-                        for z in s])
-        # N^{-s} in float64 carries the rounding of its phase t ln N, about
-        # |t| ln N eps relative, in every column alike
-        tol = 1e-12 + np.max(np.abs(s.imag)) * math.log(n_len) * np.finfo(float).eps
-        scale = np.max(np.abs(ref), axis=0)
-        assert np.all(np.max(np.abs(got - ref), axis=0) <= tol * scale)
+        assert _smooth_part_error_ratio(sigma, r_terms, n_len, 5) <= 1.0
+
+    @pytest.mark.parametrize("n_len", sorted(SMOOTH_HEIGHTS))
+    @pytest.mark.parametrize("r_terms", [12, 16])
+    @pytest.mark.parametrize("sigma", [0.52, 1.5])
+    def test_smooth_part_at_the_jet_order_against_mpmath(self, sigma, r_terms, n_len):
+        """jmax = 10, the order of the zero jets, at the same tolerance."""
+        assert _smooth_part_error_ratio(sigma, r_terms, n_len, 10) <= 1.0
 
     def test_blocks_of_different_lengths_match_single_points(self, engine):
         """More than CHUNK points: each block sums to its own max |t|."""
@@ -193,10 +204,14 @@ class TestKernel:
             ref, _ = oracles.mp_zeta_and_log_derivs(s[m], 5)
             assert np.all(np.abs(vals[m] - ref) <= trunc + rounding), m
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4095, 4097])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, zeta_engine.SMOOTH_SLAB - 1,
+                                       zeta_engine.SMOOTH_SLAB, zeta_engine.SMOOTH_SLAB + 1,
+                                       4095, 4097])
     @pytest.mark.parametrize("jmax", [0, 5])
     def test_uniform_tail_and_shape(self, engine, count, jmax):
-        """Counts around the grid row and CHUNK lengths: the padded tail is dropped."""
+        """Counts around the grid row, the smooth part's slab and CHUNK
+        lengths: the padded tail is dropped, and a block whose smooth part
+        spills one point into a second slab agrees with height bands."""
         uni, err = engine.zeta_derivs_uniform(0.6, 300.0, 0.013, count, jmax)
         pts, pts_err = engine.zeta_derivs_points(0.6, 300.0 + 0.013 * np.arange(count), jmax)
         assert uni.shape == err.shape == (count, jmax + 1)
@@ -206,6 +221,36 @@ class TestKernel:
         for vals, err in (engine.zeta_derivs_points(0.8, np.array([]), 3),
                           engine.zeta_derivs_uniform(0.8, 10.0, 0.1, 0, 3)):
             assert vals.shape == err.shape == (0, 4)
+
+
+class TestBulkDomain:
+    """The bulk entry points refuse a non-finite sigma, height or step: a NaN
+    sigma once gave NaN arrays, and an infinite height or step an error of
+    the main-sum length (ValueError or OverflowError)."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_log_deriv_line(self, engine, bad):
+        for sigma, ts in ((bad, [20.0]), (0.7, [20.0, bad])):
+            with pytest.raises(DomainError):
+                engine.log_deriv_line(sigma, np.array(ts), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_log_deriv_uniform(self, engine, bad):
+        for sigma, t0, step in ((bad, 20.0, 0.1), (0.7, bad, 0.1), (0.7, 20.0, bad)):
+            with pytest.raises(DomainError):
+                engine.log_deriv_uniform(sigma, t0, step, 3, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_zeta_derivs_points(self, engine, bad):
+        for sigma, ts in ((bad, [20.0]), (0.7, [20.0, bad])):
+            with pytest.raises(DomainError):
+                engine.zeta_derivs_points(sigma, np.array(ts), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_zeta_derivs_uniform(self, engine, bad):
+        for sigma, t0, step in ((bad, 20.0, 0.1), (0.7, bad, 0.1), (0.7, 20.0, bad)):
+            with pytest.raises(DomainError):
+                engine.zeta_derivs_uniform(sigma, t0, step, 3, 1)
 
 
 class TestLogDerivative:
@@ -445,7 +490,8 @@ class TestHorner:
         assert np.array_equal(got, _power_sum(coeffs.T, x))
 
     def test_per_column_coefficients(self):
-        """The smooth part: column j of the result has its own polynomial."""
+        """Coefficients that broadcast along a second axis of the points:
+        column j of the result has its own polynomial."""
         coeffs = self.rng.integers(-9, 10, size=(5, 8)).astype(float)
         x = ((self.rng.integers(-16, 17, size=30) + 1j * self.rng.integers(-16, 17, size=30))
              / 16.0)[:, None]
