@@ -150,6 +150,17 @@ def em_smooth_part_derivs(s: complex, n_len: int, jmax: int, r_terms: int,
         return [complex(mpmath.diff(smooth, z0, j)) for j in range(jmax + 1)]
 
 
+def mp_powers(x, ns, dps: int = 30) -> np.ndarray:
+    """n^{-x_q} at [q, i] for n = ns[i], as exp(-x_q ln n) in mpmath at ``dps``
+    digits.  Needs mpmath, which callers gate with ``pytest.importorskip``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        logs = [mpmath.log(int(n)) for n in ns]
+        return np.array([[complex(mpmath.exp(-mpmath.mpc(z.real, z.imag) * ln)) for ln in logs]
+                         for z in np.asarray(x, dtype=complex)])
+
+
 def mp_zeta_and_log_derivs(s: complex, jmax: int, dps: int = 20
                            ) -> tuple[list[complex], list[complex]]:
     """zeta^(j)(s), j = 0..jmax, from ``mpmath.zeta``, and (zeta'/zeta)^(k),

@@ -13,7 +13,8 @@ from zetalab import moments as mo
 from zetalab import zeta_engine
 from zetalab.errors import DomainError, NearZeroError, PrecisionError
 from zetalab.zeta_engine import (STRICT, ComplexEval, EmProfile, EvalPoint, ZetaEngine,
-                                 _em_block, _em_smooth_derivs, riemann_siegel_theta)
+                                 _em_block, _em_smooth_derivs, _main_sum_length,
+                                 riemann_siegel_theta)
 
 ZETA2 = math.pi ** 2 / 6
 ZETA_PRIME_2 = -0.93754825431584375370
@@ -221,6 +222,97 @@ class TestKernel:
         for vals, err in (engine.zeta_derivs_points(0.8, np.array([]), 3),
                           engine.zeta_derivs_uniform(0.8, 10.0, 0.1, 0, 3)):
             assert vals.shape == err.shape == (0, 4)
+
+
+def _longest_chains(n_len: int, count: int = 24) -> list[int]:
+    """The ``count`` n < N with the most prime factors (with multiplicity),
+    whose rows the prime sieve builds by the longest chains of products,
+    together with 2, 3, 5, 7, the largest prime below N and N - 1."""
+    def omega(n):
+        total, p = 0, 2
+        while p * p <= n:
+            while n % p == 0:
+                n, total = n // p, total + 1
+            p += 1
+        return total + (n > 1)
+
+    ns = range(2, n_len)
+    chains = sorted(ns, key=lambda n: (omega(n), n))[-count:]
+    prime = max(n for n in ns if omega(n) == 1)
+    return sorted({2, 3, 5, 7, prime, n_len - 1, *chains})
+
+
+def _sieve_error(table: np.ndarray, x: np.ndarray, ns: list[int]) -> float:
+    """Largest |table - mpmath| / |mpmath| in eps over the rows n of ``ns``."""
+    pytest.importorskip("mpmath")
+    ref = oracles.mp_powers(x, ns)
+    got = table[:, np.array(ns) - 1]
+    return float(np.max(np.abs(got - ref) / np.abs(ref)) / EPS)
+
+
+class TestPowerTable:
+    """``_power_table``: n^{-x} from exponentials at the primes only."""
+
+    @pytest.mark.parametrize("t", [50.0, 1000.0, 6000.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.5])
+    def test_sieve_against_mpmath(self, monkeypatch, sigma, t):
+        """The sieve, also where the cut would take np.exp, within 16 eps
+        (np.exp is about 110, 4,000 and 28,000 eps off at these heights); an
+        8-row table is the first 8 rows of the 64-row one."""
+        monkeypatch.setattr(zeta_engine, "SIEVE_MIN_ENTRIES", 0)
+        n_len = _main_sum_length(t, STRICT)
+        logs = np.log(np.arange(1.0, n_len))
+        x = sigma + 1j * (t - 0.05 * np.arange(64))
+        table = zeta_engine._power_table(x, logs)
+        assert table.shape == (64, n_len - 1)
+        assert np.array_equal(zeta_engine._power_table(x[:8], logs), table[:8])
+        assert _sieve_error(table, x, _longest_chains(n_len)) <= 16.0
+
+    def test_kernel_phases_against_mpmath(self):
+        """The uniform kernel's x = i r step; n = 1 and r = 0 give exactly 1."""
+        n_len, step = _main_sum_length(1000.0, STRICT), 0.05
+        x = 1j * step * np.arange(ZetaEngine.CHUNK // zeta_engine.GRID)
+        table = zeta_engine._power_table(x, np.log(np.arange(1.0, n_len)))
+        assert x.size * (n_len - 1) >= zeta_engine.SIEVE_MIN_ENTRIES
+        assert np.all(table[0] == 1.0) and np.all(table[:, 0] == 1.0)
+        assert _sieve_error(table, x, _longest_chains(n_len)) <= 16.0
+
+    def test_plan_grown_in_steps_equals_plan_built_at_once(self, monkeypatch):
+        x = 0.6 + 1j * (2000.0 - 0.05 * np.arange(64))
+        lengths = (100, 410, 2404)
+        tables = {}
+        for order in (lengths, lengths[::-1]):
+            monkeypatch.setattr(zeta_engine, "_plan", zeta_engine._NO_PLAN)
+            tables[order] = [zeta_engine._power_table(x, np.log(np.arange(1.0, n)))
+                             for n in order]
+            assert zeta_engine._plan.size == max(lengths)
+        for grown, at_once in zip(tables[lengths], tables[lengths[::-1]][::-1]):
+            assert np.array_equal(grown, at_once)
+
+    @pytest.mark.parametrize("n_len", [410, 512, 513, 1025])
+    def test_last_row_prime_or_power_of_two(self, n_len):
+        """The last row N - 1 is a prime (409), just below and at a power of
+        two (511, 512), and 1024, the first row of its dyadic range."""
+        x = 0.5 + 1j * (2000.0 - 0.05 * np.arange(16))
+        table = zeta_engine._power_table(x, np.log(np.arange(1.0, n_len)))
+        assert _sieve_error(table, x, [256, n_len - 2, n_len - 1]) <= 16.0
+
+    @pytest.mark.parametrize("rows, n_len", [(64, 64), (64, 65), (8, 512), (8, 513)])
+    def test_both_sides_of_the_cut(self, rows, n_len):
+        """Below the cut the table is np.exp bit for bit; above it, the sieve
+        agrees with np.exp within the old rounding estimate
+        eps (1 + |t| ln N) n^{-sigma} of every entry."""
+        t = 2000.0 - 0.05 * np.arange(rows)
+        x = 0.7 + 1j * t
+        logs = np.log(np.arange(1.0, n_len))
+        table = zeta_engine._power_table(x, logs)
+        plain = np.exp(np.multiply.outer(-x, logs))
+        if rows * (n_len - 1) < zeta_engine.SIEVE_MIN_ENTRIES:
+            assert np.array_equal(table, plain)
+        else:
+            bound = EPS * (1.0 + np.multiply.outer(t, logs[-1:])) * np.exp(-0.7 * logs)
+            assert not np.array_equal(table, plain)
+            assert np.all(np.abs(table - plain) <= bound)
 
 
 class TestBulkDomain:
