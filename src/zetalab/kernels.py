@@ -35,6 +35,7 @@ c is imaginary, are not provided (only real ones appear downstream).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class KernelSpec:
             raise DomainError(f"unknown kernel family {self.family!r}")
         if not (self.b > 0 and math.isfinite(self.b)):
             raise DomainError(f"kernel width b={self.b} must be positive")
+        if not isinstance(self.deriv_order, numbers.Integral):
+            raise DomainError(f"deriv_order={self.deriv_order!r} must be an integer")
         if not (0 <= self.deriv_order <= 16):
             raise DomainError(f"deriv_order={self.deriv_order} outside [0, 16]")
 

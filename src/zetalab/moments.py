@@ -26,6 +26,7 @@ comparison is a genuine two-sided test rather than a tautology.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +83,8 @@ def check_envelope(k: int, a: float, t: float) -> None:
     double precision runs out of comfort; the low end T = 2 only keeps
     log T and [1, T] meaningful, and the tables run from T = 51.5.
     """
+    if not isinstance(k, numbers.Integral):
+        raise DomainError(f"k={k!r} must be an integer")
     if not (0 <= k <= 4):
         raise DomainError(f"k={k} outside [0, 4]")
     if not (0.1 <= a <= 5.0):

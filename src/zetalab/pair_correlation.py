@@ -78,7 +78,9 @@ class FGrid:
         object.__setattr__(self, "values", v)
         if a.shape != v.shape:
             raise DomainError("alphas and values must have matching shapes")
-        if a.size and np.any(np.diff(a) <= 0):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+            raise DomainError("alphas and values must be finite")
+        if not np.all(np.diff(a) > 0):
             raise DomainError("alphas must be strictly increasing")
         if v.size and float(np.min(v)) < -1e-9:
             raise DomainError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,8 @@ _K_LIMIT = 8
 def validate(k: int, a: float, name: str = "a") -> None:
     """Refuse a negative k, a k above the factorial limit, or an ``a`` that is
     not positive and finite; ``name`` is the caller's name for ``a``."""
+    if not isinstance(k, numbers.Integral):
+        raise DomainError(f"k={k!r} must be an integer")
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k > _K_LIMIT:

@@ -73,9 +73,9 @@ class ZeroTable:
         if not math.isfinite(self.t_max):
             raise RangeError(f"t_max={self.t_max} must be finite")
         if arr.size:
-            if np.any(arr <= 0):
-                raise RangeError("ordinates must be positive")
-            if np.any(np.diff(arr) <= 0):
+            if not np.all(arr > 0):
+                raise RangeError("ordinates must be positive, not NaN")
+            if not np.all(np.diff(arr) > 0):
                 raise OrderError("ordinates must be strictly increasing")
             if arr[-1] > self.t_max:
                 raise RangeError(

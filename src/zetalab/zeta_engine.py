@@ -34,14 +34,16 @@ differentiated, is one real product as well: a coefficient table of shape
 (jmax+1, 2R+jmax+1) times the basis s^d, d < 2R, and (s-1)^{-m-1},
 m <= jmax, of the block's points, taken ``SMOOTH_SLAB`` points at a time
 (``_em_smooth_derivs``).
-Uniform sweeps go in ``ZetaEngine.CHUNK`` blocks in input order.  Arbitrary
-heights (``zeta_derivs_points``, ``log_deriv_line``, ``hardy_z_jets``)
-are sorted by |Im s| and go in bands of ``ZetaEngine.BAND`` points, one
-per row, so a band of low points does not pay the main-sum length of the
-highest one.  Bulk errors are per point, as
-for single points: each entry carries its block's truncation plus rounding
-bound, and ``log_deriv_uniform``/``_line`` carry these through the same
-log-derivative recursion to one error per point and order.
+Every bulk call goes to the kernel in consecutive blocks in input order:
+``ZetaEngine.CHUNK`` points of a uniform sweep, or ``ZetaEngine.BAND``
+arbitrary heights (``zeta_derivs_points``, ``log_deriv_line``,
+``hardy_z_jets``), one per row.  Each block sums to its own max |Im s|, so
+on the increasing heights that every caller passes, a band of low points
+does not pay the main-sum length of the highest one.  Bulk
+errors are per point, as for single points: each entry carries its block's
+truncation plus rounding bound, and ``log_deriv_uniform``/``_line`` carry
+these through the same log-derivative recursion to one error per point
+and order.
 
 Error estimates everywhere are heuristic first-order propagation, not
 certified enclosures.
@@ -52,6 +54,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,8 +87,11 @@ class EmProfile(NamedTuple):
 STRICT = EmProfile(2.5, 12)
 
 #: Points per row of a uniform block, whose main-sum kernel is then an
-#: N x GRID (jmax+1) matrix.  Of 32, 64 and 128, 64 timed fastest on a
-#: 2-core AMD EPYC with one BLAS thread.
+#: N x GRID (jmax+1) matrix.  Timed on one 4096-point block (2-core Intel
+#: Xeon VM, one BLAS thread), 64 is the fastest of 32, 64 and 128 at
+#: T = 1000 and 6000, for J = 0 (the scan) and J = 5 (the quadrature): 32
+#: is 12-41% slower and 128 24-87% slower.  At T = 51 (N = 37) the three
+#: are within 5% at J = 0, and 32 is 11% faster than 64 at J = 5.
 GRID = 64
 
 
@@ -274,16 +280,15 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SievePlan(NamedTuple):
-    """The factorisations of n < size that ``_power_table`` multiplies along.
+    """The factorisations that ``_power_table`` multiplies along, for n < size.
 
     ``primes`` are the primes below size, and ln p = ln_hi + ln_lo to
-    double-double, with ln_hi = fl(ln p) and ln p from ``decimal`` at 40
-    digits.  For n >= 2 with least prime factor a, first[n-1] is the index
-    of a in ``primes`` and rest[n-1] = n/a - 1 is the row of the cofactor
-    (row 0, n = 1, for a prime).
+    double-double (``_ln_parts``).  For n >= 2 with least prime factor a,
+    first[n-1] is the index of a in ``primes`` and rest[n-1] = n/a - 1 is
+    the row of the cofactor (row 0, n = 1, for a prime).  None of these
+    depends on size for n below it, so a plan serves every shorter sum.
     """
 
-    size: int
     primes: np.ndarray
     ln_hi: np.ndarray
     ln_lo: np.ndarray
@@ -291,9 +296,18 @@ class _SievePlan(NamedTuple):
     rest: np.ndarray
 
 
-def _grown_plan(plan: _SievePlan, size: int) -> _SievePlan:
-    """``plan`` extended to every n < size; the logarithms of the primes it
-    already holds are kept, so a plan grown in steps equals one built at once."""
+@lru_cache(maxsize=None)
+def _ln_parts(p: int) -> tuple[float, float]:
+    """ln p = hi + lo to double-double, hi = fl(ln p), from ``decimal`` at 40 digits."""
+    ctx = decimal.Context(prec=40)
+    ln_p = ctx.ln(p)
+    hi = float(ln_p)
+    return hi, float(ctx.subtract(ln_p, decimal.Decimal(hi)))
+
+
+@lru_cache(maxsize=None)
+def _sieve_plan(size: int) -> _SievePlan:
+    """The plan of every n < size, from a least-prime-factor sieve; read-only."""
     lpf = np.zeros(size, dtype=np.intp)
     for p in range(2, math.isqrt(size - 1) + 1):
         if lpf[p] == 0:
@@ -301,23 +315,15 @@ def _grown_plan(plan: _SievePlan, size: int) -> _SievePlan:
             multiples[multiples == 0] = p
     primes = np.flatnonzero(lpf[2:] == 0) + 2
     lpf[primes] = primes
-    ctx = decimal.Context(prec=40)
-    logs = [ctx.ln(p) for p in primes[plan.primes.size:].tolist()]
-    hi = [float(v) for v in logs]
-    lo = [float(ctx.subtract(v, decimal.Decimal(h))) for v, h in zip(logs, hi)]
+    ln_hi, ln_lo = np.array([_ln_parts(p) for p in primes.tolist()]).T
     first = np.zeros(size - 1, dtype=np.intp)
     rest = np.zeros(size - 1, dtype=np.intp)
     first[1:] = np.searchsorted(primes, lpf[2:])
     rest[1:] = np.arange(2, size) // lpf[2:] - 1
-    return _SievePlan(size, primes, np.concatenate([plan.ln_hi, hi]),
-                      np.concatenate([plan.ln_lo, lo]), first, rest)
-
-
-#: the plan of no n > 1, where ``_plan`` starts
-_NO_PLAN = _SievePlan(2, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0),
-                      np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
-#: the plan of the largest main sum asked for so far; smaller sums cut it
-_plan = _NO_PLAN
+    plan = _SievePlan(primes, ln_hi, ln_lo, first, rest)
+    for table in plan:
+        table.flags.writeable = False
+    return plan
 
 
 def _prime_powers(x: np.ndarray, ln_hi: np.ndarray, ln_lo: np.ndarray) -> np.ndarray:
@@ -361,16 +367,16 @@ def _power_table(x: np.ndarray, logs: np.ndarray) -> np.ndarray:
     vectorised stage: a gather of the rows m straight into place, and a
     product with the gathered prime rows.  A stage has at most as many rows
     as there are primes, so its buffer is no larger than the prime table.
-    Such a table is built by rows n and returned as a transposed view.
+    The factorisations are cut from the ``_sieve_plan`` of the power of two
+    at or above N, so the cache holds one plan per doubling, together at
+    most twice the largest.  Such a table is built by rows n and returned as
+    a transposed view.
     """
-    global _plan
     n_len = logs.size + 1
     if x.size * logs.size < SIEVE_MIN_ENTRIES:
         table = np.multiply.outer(-x, logs)
         return np.exp(table, out=table)
-    plan = _plan
-    if plan.size < n_len:
-        plan = _plan = _grown_plan(plan, n_len)
+    plan = _sieve_plan(1 << (n_len - 1).bit_length())
     count = int(np.searchsorted(plan.primes, n_len))
     primes = _prime_powers(x, plan.ln_hi[:count], plan.ln_lo[:count])
     out = np.empty((n_len - 1, x.size), dtype=complex)
@@ -446,8 +452,9 @@ def _em_block(s: np.ndarray, jmax: int, profile: EmProfile,
 class ZetaEngine:
     """Stateless evaluator for zeta and its logarithmic derivatives.
 
-    All methods are pure functions of their arguments, and an instance
-    holds no mutable state.
+    All methods are pure functions of their arguments.  An instance holds
+    no mutable state, and outside its ``functools`` caches of read-only
+    tables neither does the module.
     """
 
     #: points per kernel block of a uniform sweep: each block sums to its
@@ -470,26 +477,24 @@ class ZetaEngine:
                      step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """zeta^(j)(s) for a 1-d array of points, j <= jmax, with per-entry errors.
 
-        ``step`` declares the points uniform, s[m] = s[0] + i step m; they go
-        to the kernel in ``CHUNK`` blocks in input order.  Arbitrary points
-        are sorted by |Im s| and go in bands of ``BAND`` points, so each band
-        sums only as far as its own heights need; the values are scattered
-        back to input order.  Entry [m, j] of the error array is the
-        truncation plus rounding bound of order j of the block holding m.
-        A non-finite point or step raises DomainError.
+        The points go to the kernel in consecutive blocks in input order:
+        ``CHUNK`` points when ``step`` declares them uniform, s[m] = s[0] +
+        i step m, and ``BAND`` points otherwise.  Each block sums to its own
+        max |Im s|, so values and bounds hold for points in any order, but
+        unsorted heights make each band pay for its highest point; the
+        callers in the package pass increasing heights.  Entry [m, j] of the
+        error array is the truncation plus rounding bound of order j of the
+        block holding m.  A non-finite point or step raises DomainError.
         """
         if not (np.all(np.isfinite(s)) and (step is None or math.isfinite(step))):
             raise DomainError("bulk evaluation requires finite sigma, heights and step")
         out = np.empty((s.size, jmax + 1), dtype=complex)
         err = np.empty((s.size, jmax + 1))
-        if step is None:
-            order = np.argsort(np.abs(s.imag), kind="stable")
-            blocks = [order[m0:m0 + self.BAND] for m0 in range(0, s.size, self.BAND)]
-        else:
-            blocks = [slice(m0, m0 + self.CHUNK) for m0 in range(0, s.size, self.CHUNK)]
-        for idx in blocks:
-            out[idx], trunc, rounding = _em_block(s[idx], jmax, self.profile, step)
-            err[idx] = trunc + rounding
+        size = self.BAND if step is None else self.CHUNK
+        for lo in range(0, s.size, size):
+            block = slice(lo, lo + size)
+            out[block], trunc, rounding = _em_block(s[block], jmax, self.profile, step)
+            err[block] = trunc + rounding
         return out, err
 
     # -- derivatives along a vertical line (bulk) --------------------------
@@ -609,6 +614,8 @@ class ZetaEngine:
         """
         if not isinstance(p, EvalPoint):
             p = EvalPoint(*p)
+        if not isinstance(k, numbers.Integral):
+            raise DomainError(f"k={k!r} must be an integer")
         if not (0 <= k <= 8):
             raise DomainError(f"k={k} outside [0, 8]")
         z, err = self._single_point(p.s, k + 1)

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc
 
-from zetalab import kernels, pair_correlation, zero_catalog, zeta_engine
+from zetalab import kernels, pair_correlation, predictions, zero_catalog, zeta_engine
 from zetalab import moments as mo
 from zetalab.errors import DivisionError, DomainError, RangeError
 from zetalab.kernels import KernelSpec, kernel_eval
@@ -118,6 +118,17 @@ class TestQuadrature:
             mo.i_k_quadrature_batch([5], 1.0, 200.0, engine)
         with pytest.raises(DomainError):
             mo.i_k_quadrature_batch([0], 0.05, 200.0, engine)
+
+    @pytest.mark.parametrize("call", [
+        lambda engine: mo.i_k_quadrature_batch([1.5], 1.0, 100.0, engine),
+        lambda engine: predictions.coefficient_c(1.5, 1.0),
+        lambda engine: kernel_eval(KernelSpec("f", 1.0, 1.5), 0.3),
+        lambda engine: engine.log_derivative_k(EvalPoint(0.8, 100.0), 1.5),
+    ], ids=["quadrature", "coefficient_c", "kernel", "log_derivative_k"])
+    def test_non_integral_order_refused(self, engine, call):
+        """Each raised a bare TypeError from math.factorial or range."""
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(engine)
 
     def test_no_orders_refused(self, engine):
         with pytest.raises(DomainError):

@@ -97,6 +97,16 @@ class TestFGrid:
         with pytest.raises(DomainError):
             FGrid(100.0, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("alphas, values", [([0.0, math.nan], [1.0, 1.0]),
+                                                ([math.nan], [1.0]),
+                                                ([0.0, 1.0], [1.0, math.nan]),
+                                                ([0.0, 1.0], [1.0, math.inf])])
+    def test_non_finite_samples_refused(self, alphas, values):
+        """A NaN alpha or value passed every check, and tauberian_compare on
+        such a grid returned a ratio of nan."""
+        with pytest.raises(DomainError):
+            FGrid(100.0, np.array(alphas), np.array(values))
+
     def test_non_finite_inputs_refused(self, zero_source):
         tab = zero_source.table(100.0)
         for alpha_max, step in ((1.0, math.nan), (math.nan, 0.5), (1.0, math.inf)):

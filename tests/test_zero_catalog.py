@@ -249,6 +249,12 @@ class TestZeroTableType:
         with pytest.raises(RangeError):
             ZeroTable(np.array([-3.0, 14.1]), 30.0)
 
+    @pytest.mark.parametrize("ordinates", [[14.1, math.nan], [math.nan, 14.1], [math.nan]])
+    def test_rejects_nan_ordinate(self, ordinates):
+        """A NaN ordinate passed every check, and f_alpha dropped it silently."""
+        with pytest.raises(RangeError):
+            ZeroTable(np.array(ordinates), 100.0)
+
     def test_rejects_beyond_tmax(self):
         with pytest.raises(RangeError):
             ZeroTable(np.array([14.1, 21.0]), 20.0)

@@ -77,13 +77,13 @@ class TestDerivatives:
                   - engine.zeta(complex(sigma - h, t)).value) / (2 * h)
             assert abs(d[1].value - fd) < 1e-5
 
-    def test_line_path_matches_cauchy_path(self, engine):
+    def test_bulk_path_matches_single_point_path(self, engine):
         for sigma, t in ((0.55, 50.0), (0.8, 11.0), (2.0, 300.0)):
-            line, _ = engine.zeta_derivs_points(sigma, np.array([t]), 4)
-            cauchy = engine.zeta_derivatives(EvalPoint(sigma, t), 4)
+            bulk, _ = engine.zeta_derivs_points(sigma, np.array([t]), 4)
+            single = engine.zeta_derivatives(EvalPoint(sigma, t), 4)
             for j in range(5):
-                scale = max(1.0, abs(cauchy[j].value))
-                assert abs(line[0, j] - cauchy[j].value) < 1e-9 * scale
+                scale = max(1.0, abs(single[j].value))
+                assert abs(bulk[0, j] - single[j].value) < 1e-9 * scale
 
     def test_uniform_grid_matches_point_evaluation(self, engine):
         ts = 40.0 + 0.013 * np.arange(100)
@@ -171,7 +171,9 @@ class TestKernel:
                 assert abs(vals[i, 0] - engine.zeta(s[i]).value) <= err[i, 0]
 
     def test_height_bands_match_single_points(self, engine):
-        """Unsorted heights over several bands come back in input order."""
+        """Unsorted heights over several bands: values within their bounds,
+        and each run of BAND consecutive points carries the bound of that
+        run evaluated alone."""
         rng = np.random.default_rng(12)
         band = ZetaEngine.BAND
         t = rng.uniform(-6000.0, 6000.0, 2 * band + 90)
@@ -179,9 +181,9 @@ class TestKernel:
         vals, err = engine._zeta_derivs(s, 0)
         single = np.array([engine.zeta(z).value for z in s])
         assert np.all(np.abs(vals[:, 0] - single) <= err[:, 0])
-        top = np.argsort(np.abs(t))[-(t.size % band or band):]   # holds max |t|
-        _, top_err = engine._zeta_derivs(s[top], 0)
-        assert np.array_equal(err[top], top_err)
+        for lo in range(0, s.size, band):
+            _, run_err = engine._zeta_derivs(s[lo:lo + band], 0)
+            assert np.array_equal(err[lo:lo + band], run_err)
 
     @pytest.mark.parametrize("top", [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0])
     def test_uniform_blocks_within_their_bounds(self, top):
@@ -277,17 +279,24 @@ class TestPowerTable:
         assert np.all(table[0] == 1.0) and np.all(table[:, 0] == 1.0)
         assert _sieve_error(table, x, _longest_chains(n_len)) <= 16.0
 
-    def test_plan_grown_in_steps_equals_plan_built_at_once(self, monkeypatch):
+    def test_tables_do_not_depend_on_history(self):
+        """From empty caches, the 64-row tables at three lengths come out bit
+        for bit the same in ascending order, in descending order, and after
+        a plan at 8192 has filled the cache of prime logarithms."""
         x = 0.6 + 1j * (2000.0 - 0.05 * np.arange(64))
         lengths = (100, 410, 2404)
-        tables = {}
-        for order in (lengths, lengths[::-1]):
-            monkeypatch.setattr(zeta_engine, "_plan", zeta_engine._NO_PLAN)
-            tables[order] = [zeta_engine._power_table(x, np.log(np.arange(1.0, n)))
-                             for n in order]
-            assert zeta_engine._plan.size == max(lengths)
-        for grown, at_once in zip(tables[lengths], tables[lengths[::-1]][::-1]):
-            assert np.array_equal(grown, at_once)
+
+        def tables(order, larger=None):
+            zeta_engine._sieve_plan.cache_clear()
+            zeta_engine._ln_parts.cache_clear()
+            if larger:
+                zeta_engine._sieve_plan(larger)
+            return {n: zeta_engine._power_table(x, np.log(np.arange(1.0, n))) for n in order}
+
+        ascending = tables(lengths)
+        for other in (tables(lengths[::-1]), tables(lengths, larger=8192)):
+            for n in lengths:
+                assert np.array_equal(ascending[n], other[n])
 
     @pytest.mark.parametrize("n_len", [410, 512, 513, 1025])
     def test_last_row_prime_or_power_of_two(self, n_len):
